@@ -798,21 +798,21 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let (tx, rx) = channel::<Ev>();
 
-    // Accept thread: non-blocking poll so the shutdown flag is honored.
+    // Accept thread: blocks in accept(), so a new connection is served
+    // at once; the drain sets the shutdown flag and then wakes it with
+    // one loopback connect.
     let accept = {
         let tx = tx.clone();
         let shutdown = Arc::clone(&shutdown);
         let io_timeout = opts.io_timeout;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| inv(format!("cannot set nonblocking: {e}")))?;
         std::thread::spawn(move || {
             let mut next_conn: u64 = 1;
             loop {
+                let accepted = listener.accept();
                 if shutdown.load(Ordering::Relaxed) {
                     return;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _peer)) => {
                         let id = next_conn;
                         next_conn += 1;
@@ -829,9 +829,7 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
                         let shutdown = Arc::clone(&shutdown);
                         std::thread::spawn(move || reader_loop(id, stream, tx, shutdown));
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(25));
-                    }
+                    // Out of descriptors and the like: back off briefly.
                     Err(_) => std::thread::sleep(Duration::from_millis(25)),
                 }
             }
@@ -1099,7 +1097,15 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
             }
         }
     }
-    let _ = accept.join();
+    // The accept thread sees the flag once accept() returns. If the
+    // wake-up connect fails it stays blocked, and process exit ends it.
+    let wake = connect_addr
+        .parse::<std::net::SocketAddr>()
+        .ok()
+        .and_then(|a| std::net::TcpStream::connect_timeout(&a, Duration::from_secs(1)).ok());
+    if wake.is_some() {
+        let _ = accept.join();
+    }
 
     let open_jobs = jobs.values().filter(|j| j.state == JobState::Open).count();
     Ok(DaemonOutcome {

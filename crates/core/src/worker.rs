@@ -625,7 +625,11 @@ pub fn worker_main(header: &str, ckpt_dir: Option<&str>) -> i32 {
             counters.beats.fetch_add(1, Ordering::Relaxed);
             let payload = format!("HB {}", counters.snapshot().to_json());
             if !writer.send(&payload) {
-                return; // supervisor is gone
+                // The supervisor is gone: stop the in-flight cell at
+                // its next mix boundary instead of finishing it for
+                // nobody (an interrupted cell is never cached).
+                interrupt::request();
+                return;
             }
             std::thread::sleep(hb_every);
         })
@@ -776,7 +780,11 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
             counters.beats.fetch_add(1, Ordering::Relaxed);
             let payload = format!("HB {}", counters.snapshot().to_json());
             if !writer.send(&payload) {
-                return; // daemon is gone
+                // The daemon is gone: stop the in-flight cell at its
+                // next mix boundary (an interrupted cell is never
+                // cached), and the host exits.
+                interrupt::request();
+                return;
             }
             std::thread::sleep(hb_every);
         })

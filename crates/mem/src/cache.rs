@@ -21,8 +21,13 @@
 //!   line (an I-cache streaming through a 64-byte line issues ~16 of
 //!   them) skip indexing and the way scan entirely; the stamp/dirty
 //!   update and hit count are identical to the full path.
+//!
+//! Functional warming does not go through the lookup path at all:
+//! [`Cache::prewarm`] writes the state a warm's reads would leave in
+//! closed form, in time bounded by the cache's capacity.
 
 use crate::addr::LineAddr;
+use crate::warm::{LineRun, Schedule};
 
 /// Geometry of a single cache.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -263,6 +268,99 @@ impl Cache {
             hit: false,
             writeback,
         }
+    }
+
+    /// Warm the cache with clean reads of several threads' footprints,
+    /// interleaved round-robin: round `i` reads line `i` of every lane
+    /// (thread) that long, in lane order. Runs `feeds` rejects take up
+    /// their rounds but are not read (an L1 D-cache skips code runs).
+    ///
+    /// The final state — tags, stamps, dirty bits, MRU marker, tick and
+    /// counters — is exactly that of calling
+    /// [`access(line, false)`](Self::access) on every line in that order.
+    /// Until the first read of a line already read (two overlapping runs)
+    /// it is written in closed form, provided the cache starts empty:
+    /// each set keeps its last `ways` lines, the set's `k`-th line in way
+    /// `k mod ways`, stamped with its position in the sequence. A
+    /// backward walk finds those lines and stops once every set is full,
+    /// so the cost is about `sets × ways` reads however long the
+    /// footprints are. The reads from the first repeat on (all of them,
+    /// if the cache holds lines already) go through `access`.
+    /// DESIGN.md §17 has the argument.
+    pub fn prewarm(&mut self, lanes: &[&[LineRun]], feeds: impl Fn(&LineRun) -> bool) {
+        let seq = Schedule::new(lanes, feeds);
+        let cut = if self.tags.iter().all(|&t| t == EMPTY) {
+            seq.first_repeat()
+        } else {
+            Some((0, 0))
+        };
+        let (head, tail) = match cut {
+            Some(key) => seq.split(key),
+            None => (seq, Schedule::default()),
+        };
+        self.fill(&head);
+        tail.for_each(|line| {
+            self.access(LineAddr(line), false);
+        });
+    }
+
+    /// The state reading `seq` leaves in an empty cache, given that no
+    /// line of `seq` repeats.
+    fn fill(&mut self, seq: &Schedule) {
+        let n = seq.len();
+        let sets = self.sets as usize;
+        let w = self.cfg.ways as usize;
+        // Reads per set: a run of `len` lines from set `s` gives every
+        // set `len / sets` and the `len % sets` sets from `s` on, cyclically,
+        // one more.
+        let mut per_set = vec![0u64; sets];
+        let mut diff = vec![0i64; sets + 1];
+        let mut base = 0;
+        for p in seq.runs() {
+            base += p.len / self.sets;
+            let start = self.idx.split(p.first, self.sets).0 as usize;
+            let end = start + (p.len % self.sets) as usize;
+            diff[start] += 1;
+            if end <= sets {
+                diff[end] -= 1;
+            } else {
+                diff[sets] -= 1;
+                diff[0] += 1;
+                diff[end - sets] -= 1;
+            }
+        }
+        let mut extra = 0i64;
+        for (c, d) in per_set.iter_mut().zip(&diff) {
+            extra += d;
+            *c = base + extra as u64;
+        }
+        // Walk backward; the first `ways` reads met per set survive.
+        let mut room: Vec<u64> = per_set.iter().map(|&c| c.min(w as u64)).collect();
+        let mut missing: u64 = room.iter().sum();
+        let tick0 = self.tick;
+        let mut pos = n;
+        seq.rev_until(|line| {
+            let (set, tag) = self.idx.split(line, self.sets);
+            let s = set as usize;
+            if room[s] > 0 {
+                room[s] -= 1;
+                missing -= 1;
+                // This is the set's `per_set[s] - 1`-th read (0-based).
+                let i = s * w + ((per_set[s] - 1) % w as u64) as usize;
+                self.tags[i] = tag;
+                self.stamps[i] = tick0 + pos;
+                self.dirty[i] = false;
+                if pos == n {
+                    self.last_line = line;
+                    self.last_way = i as u32;
+                }
+            }
+            per_set[s] -= 1;
+            pos -= 1;
+            missing == 0
+        });
+        self.tick = tick0 + n;
+        self.misses += n;
     }
 
     /// Probe without modifying LRU/allocating. Used by tests and by the

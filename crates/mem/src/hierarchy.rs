@@ -14,6 +14,7 @@ use crate::cache::{Cache, CacheConfig};
 use crate::dram::{Dram, DramConfig};
 use crate::hash::FastMap;
 use crate::stats::{CoreMemStats, MemCounters, MemStats};
+use crate::warm::LineRun;
 use crate::{CoreId, Cycle};
 use tlpsim_trace::{NopSink, TraceEvent, TraceSink};
 
@@ -440,9 +441,8 @@ impl MemorySystem {
         }
     }
 
-    /// Functionally install `addr`'s line into `core`'s private caches
-    /// and the shared LLC without advancing any timing state (no DRAM,
-    /// bus or MSHR activity, no hit/miss counters).
+    /// Functionally warm the caches with several threads' footprints:
+    /// `threads[t]` is thread `t`'s core and its footprint runs.
     ///
     /// This is SimPoint-style *functional warming*: it recreates the
     /// steady-state cache contents a long-running benchmark would have,
@@ -450,6 +450,44 @@ impl MemorySystem {
     /// misses the paper's 750M-instruction samples never see. Capacity
     /// and replacement are enforced by the real tag arrays, so regions
     /// that do not fit stay (correctly) partially resident.
+    ///
+    /// The result is exactly that of interleaving the footprints
+    /// round-robin — round `i` takes line `i` of every thread that long,
+    /// in thread order — and passing each line to
+    /// [`prewarm_line`](Self::prewarm_line). Each cache only ever sees
+    /// clean reads whose outcomes nobody uses, so its final state
+    /// depends on its own reads alone, and every cache is warmed by
+    /// itself with [`Cache::prewarm`]: in time bounded by its capacity
+    /// for the reads before a line first repeats, one lookup per read
+    /// after. Timing state and the per-core statistics are untouched.
+    ///
+    /// # Panics
+    /// Panics if a core id is out of range.
+    pub fn prewarm(&mut self, threads: &[(CoreId, Vec<LineRun>)]) {
+        let n = self.cores.len();
+        assert!(
+            threads.iter().all(|&(c, _)| c < n),
+            "prewarm: core id out of range (chip has {n} cores)"
+        );
+        for (c, pc) in self.cores.iter_mut().enumerate() {
+            let lanes: Vec<&[LineRun]> = threads
+                .iter()
+                .filter(|(core, _)| *core == c)
+                .map(|(_, runs)| runs.as_slice())
+                .collect();
+            pc.l1i.prewarm(&lanes, |r| r.code);
+            pc.l1d.prewarm(&lanes, |r| !r.code);
+            pc.l2.prewarm(&lanes, |_| true);
+        }
+        let lanes: Vec<&[LineRun]> = threads.iter().map(|(_, runs)| runs.as_slice()).collect();
+        self.llc.prewarm(&lanes, |_| true);
+    }
+
+    /// Functionally install `addr`'s line into `core`'s private caches
+    /// and the shared LLC without advancing any timing state (no DRAM,
+    /// bus or MSHR activity, no per-core statistics): one line of a
+    /// [`prewarm`](Self::prewarm), which is the same for whole
+    /// footprints at once.
     pub fn prewarm_line(&mut self, core: CoreId, kind: AccessKind, addr: Addr) {
         let line = addr.line();
         let pc = &mut self.cores[core];

@@ -38,6 +38,7 @@ mod hash;
 mod hierarchy;
 mod snap;
 mod stats;
+mod warm;
 
 pub use addr::{Addr, LineAddr, LINE_BYTES};
 pub use bus::{Bus, BusConfig};
@@ -49,6 +50,7 @@ pub use hierarchy::{
 };
 pub use snap::{snap_ensure, snap_mismatch, SnapError, SnapReader, SnapWriter};
 pub use stats::{CoreMemStats, MemCounters, MemStats};
+pub use warm::LineRun;
 
 /// A point in simulated time, measured in core clock cycles.
 pub type Cycle = u64;

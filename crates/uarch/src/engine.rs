@@ -22,7 +22,8 @@
 //! legacy dense stepper when debugging.
 
 use tlpsim_mem::{
-    snap_ensure, Cycle, FastMap, MemCounters, MemorySystem, SnapError, SnapReader, SnapWriter,
+    fnv1a64, snap_ensure, Cycle, FastMap, MemCounters, MemorySystem, SnapError, SnapReader,
+    SnapWriter,
 };
 use tlpsim_trace::{CounterSnapshot, CpiStacks, NopSink, TraceSink};
 
@@ -391,30 +392,27 @@ impl<S: TraceSink> MultiCore<S> {
     /// warming), then zero the memory counters. Call once, before
     /// [`run`](Self::run). Threads must already be pinned.
     ///
-    /// Warming walks each thread's code, cold-region tail, shared region
+    /// Warming reads each thread's cold-region tail, shared region, code
     /// and hot set through the real tag arrays of the core it is pinned
-    /// to, so capacity sharing between SMT co-runners is respected.
+    /// to, so capacity sharing between SMT co-runners is respected. The
+    /// threads' footprints are interleaved round-robin, line by line, so
+    /// no single thread's footprint monopolizes the recency order of
+    /// shared caches.
+    ///
+    /// Cost: each cache is filled in closed form
+    /// ([`MemorySystem::prewarm`]), in time bounded by its capacity
+    /// (sets × ways) rather than by the footprints (up to 12 MiB of
+    /// cold tail per thread), until a line would be read a second time:
+    /// from there on (threads of one app walking their shared region,
+    /// or a cache that is not empty, as on a second call) each read is
+    /// one cache lookup.
     pub fn prewarm(&mut self) {
-        // Interleave threads round-robin so no single thread's footprint
-        // monopolizes the recency order of shared caches.
-        let walks: Vec<(usize, Vec<(bool, tlpsim_mem::Addr)>)> = self
+        let threads: Vec<(usize, Vec<tlpsim_mem::LineRun>)> = self
             .threads
             .iter()
-            .map(|t| (t.core, t.program.prewarm_addrs()))
+            .map(|t| (t.core, t.program.prewarm_runs()))
             .collect();
-        let longest = walks.iter().map(|(_, w)| w.len()).max().unwrap_or(0);
-        for i in 0..longest {
-            for (core, walk) in &walks {
-                if let Some(&(is_code, addr)) = walk.get(i) {
-                    let kind = if is_code {
-                        tlpsim_mem::AccessKind::Fetch
-                    } else {
-                        tlpsim_mem::AccessKind::Load
-                    };
-                    self.mem.prewarm_line(*core, kind, addr);
-                }
-            }
-        }
+        self.mem.prewarm(&threads);
         self.mem.reset_counters();
     }
 
@@ -1451,14 +1449,4 @@ impl MultiCore<CpiStacks> {
             }
         }
     }
-}
-
-/// FNV-1a over a byte string (fingerprints only — not a wire format).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }

@@ -104,6 +104,12 @@ impl ThreadProgram {
     }
 
     /// Pre-warm footprint of the underlying stream (see
+    /// [`InstrStream::prewarm_runs`]).
+    pub fn prewarm_runs(&self) -> Vec<tlpsim_mem::LineRun> {
+        self.stream.prewarm_runs()
+    }
+
+    /// The pre-warm footprint line by line (see
     /// [`InstrStream::prewarm_addrs`]).
     pub fn prewarm_addrs(&self) -> Vec<(bool, tlpsim_mem::Addr)> {
         self.stream.prewarm_addrs()

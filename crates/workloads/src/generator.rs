@@ -1,7 +1,7 @@
 //! The instruction-stream generator: turns a [`BenchmarkProfile`] into
 //! an unbounded, deterministic sequence of [`Instr`]s.
 
-use tlpsim_mem::Addr;
+use tlpsim_mem::{Addr, LineRun, LINE_BYTES};
 
 use crate::instr::{Instr, InstrKind};
 use crate::profile::BenchmarkProfile;
@@ -190,48 +190,44 @@ impl InstrStream {
         }
     }
 
-    /// Addresses to functionally pre-warm before timed simulation:
-    /// `(is_code, addr)` pairs covering the code footprint, the tail of
-    /// the cold/streaming region (capped — regions larger than any cache
-    /// can only ever be partially resident), the tail of the shared
-    /// region, and finally the hot set (last, so LRU keeps it closest).
-    pub fn prewarm_addrs(&self) -> Vec<(bool, Addr)> {
-        const LINE: u64 = 64;
+    /// Lines to functionally pre-warm before timed simulation, as runs
+    /// in warming order: the tail of the cold/streaming region (capped —
+    /// regions larger than any cache can only ever be partially
+    /// resident), the head of the shared region, the code footprint,
+    /// and finally the hot set (last, so LRU keeps it closest).
+    pub fn prewarm_runs(&self) -> Vec<LineRun> {
         /// Regions beyond this can't be fully cache-resident anyway.
         const COLD_CAP: u64 = 12 * 1024 * 1024;
-        let mut v = Vec::new();
+        // The bytes `start + 64k` below `start + bytes`, as lines.
+        let run = |code, start: u64, bytes: u64| LineRun {
+            code,
+            first: Addr(start).line(),
+            len: bytes.div_ceil(LINE_BYTES),
+        };
         let m = &self.profile.mem;
-        // Cold region tail.
         let cold = m.cold_bytes.min(COLD_CAP);
-        let cold_start = self.data_base + m.hot_bytes + (m.cold_bytes - cold);
-        let mut a = cold_start;
-        while a < cold_start + cold {
-            v.push((false, Addr(a)));
-            a += LINE;
-        }
+        let mut v = vec![run(
+            false,
+            self.data_base + m.hot_bytes + (m.cold_bytes - cold),
+            cold,
+        )];
         // Shared region (hot head: the power-law skew favours low
         // addresses, so warm from the start).
         if let Some((base, bytes)) = self.shared {
-            let warm = bytes.min(COLD_CAP);
-            let mut a = base;
-            while a < base + warm {
-                v.push((false, Addr(a)));
-                a += LINE;
-            }
+            v.push(run(false, base, bytes.min(COLD_CAP)));
         }
-        // Code footprint.
-        let mut a = self.code_base;
-        while a < self.code_base + self.profile.code_bytes {
-            v.push((true, Addr(a)));
-            a += LINE;
-        }
-        // Hot set last.
-        let mut a = self.data_base;
-        while a < self.data_base + m.hot_bytes {
-            v.push((false, Addr(a)));
-            a += LINE;
-        }
+        v.push(run(true, self.code_base, self.profile.code_bytes));
+        v.push(run(false, self.data_base, m.hot_bytes));
         v
+    }
+
+    /// [`prewarm_runs`](Self::prewarm_runs) expanded line by line:
+    /// `(is_code, line base address)` pairs in warming order.
+    pub fn prewarm_addrs(&self) -> Vec<(bool, Addr)> {
+        self.prewarm_runs()
+            .into_iter()
+            .flat_map(|r| r.lines().map(move |l| (r.code, l.base())))
+            .collect()
     }
 
     fn advance_pc(&mut self) -> Addr {
@@ -286,6 +282,7 @@ impl Iterator for InstrStream {
 mod tests {
     use super::*;
     use crate::profile::{DepProfile, InstrMix, MemProfile};
+    use tlpsim_mem::LineAddr;
 
     fn profile() -> BenchmarkProfile {
         BenchmarkProfile {
@@ -409,6 +406,60 @@ mod tests {
         assert!(c
             .snap_restore(&mut tlpsim_mem::SnapReader::new(&bytes[..bytes.len() - 1]))
             .is_err());
+    }
+
+    #[test]
+    fn prewarm_runs_cover_the_byte_walk_line_for_line() {
+        // The footprint as a 64-byte stride over each region: cold tail,
+        // shared head, code, hot set.
+        fn byte_walk(s: &InstrStream) -> Vec<(bool, LineAddr)> {
+            const CAP: u64 = 12 * 1024 * 1024;
+            let m = &s.profile.mem;
+            let cold = m.cold_bytes.min(CAP);
+            let mut regions = vec![(
+                false,
+                s.data_base + m.hot_bytes + (m.cold_bytes - cold),
+                cold,
+            )];
+            if let Some((base, bytes)) = s.shared {
+                regions.push((false, base, bytes.min(CAP)));
+            }
+            regions.push((true, s.code_base, s.profile.code_bytes));
+            regions.push((false, s.data_base, m.hot_bytes));
+            regions
+                .into_iter()
+                .flat_map(|(code, start, bytes)| {
+                    (start..start + bytes)
+                        .step_by(64)
+                        .map(move |a| (code, Addr(a).line()))
+                })
+                .collect()
+        }
+        let mut odd = profile();
+        odd.mem.hot_bytes = 1000; // the cold tail starts mid-line
+        odd.code_bytes = 100;
+        let mut big = profile();
+        big.mem.cold_bytes = 20 * 1024 * 1024; // capped tail
+        for (p, space) in [(profile(), 0), (odd, 3), (big, 7)] {
+            let plain = InstrStream::new(&p, space, 1);
+            let shared = plain
+                .clone()
+                .with_shared_region(0x7000_0000_0010, 5000, 0.2);
+            for s in [plain, shared] {
+                let lines: Vec<(bool, LineAddr)> = s
+                    .prewarm_runs()
+                    .into_iter()
+                    .flat_map(|r| r.lines().map(move |l| (r.code, l)))
+                    .collect();
+                assert_eq!(lines, byte_walk(&s));
+                let addrs: Vec<(bool, LineAddr)> = s
+                    .prewarm_addrs()
+                    .into_iter()
+                    .map(|(c, a)| (c, a.line()))
+                    .collect();
+                assert_eq!(addrs, lines);
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! CELL-record key uniqueness in the shared cache.
 
 use std::collections::HashSet;
+use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
@@ -17,6 +18,8 @@ use tlpsim::core::ctx::{Ctx, WorkloadKind};
 use tlpsim::core::diskcache::{unframe, Record};
 use tlpsim::core::journal::SweepSpec;
 use tlpsim::core::mode::SimMode;
+use tlpsim::core::net::FramedConn;
+use tlpsim::core::worker::encode_runs;
 use tlpsim::core::{configs, interrupt, SimError, SimScale, SWEEP_COUNTS};
 
 /// Small enough for debug-build workers, big enough to exercise the
@@ -305,6 +308,67 @@ fn daemon_sigkill_mid_sweep_restart_recomputes_nothing() {
     assert_eq!(assert_cache_keys_unique(&cache), 9);
     let _ = daemon2.kill();
     let _ = daemon2.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker host whose daemon vanished mid-cell stops at its next mix
+/// boundary instead of simulating the cell to the end for nobody: its
+/// failing heartbeat requests an interrupt, and an interrupted cell is
+/// never cached. The "daemon" here is a bare listener that hands the
+/// host one long cell and then closes the connection.
+#[test]
+#[cfg(unix)]
+fn orphaned_worker_host_stops_within_one_mix() {
+    let dir = tmp_dir("orphan");
+    let cache = dir.join("cells.cache");
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut host = tlpsim_cmd(&[("TLPSIM_SERVE_HB_MS", "50")])
+        .args(["__serve-worker", "--tcp", &addr, cache.to_str().unwrap()])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("worker host spawns");
+    let (stream, _) = listener.accept().expect("worker host connects");
+    let mut conn = FramedConn::from_stream(stream, Duration::from_secs(30)).unwrap();
+    assert!(conn.recv().unwrap().starts_with("HELLO "));
+
+    // Twelve mixes of 24 threads each: finishing the cell takes many
+    // times as long as finishing one mix.
+    let spec = SweepSpec {
+        scale: SimScale {
+            warmup: 1_000,
+            budget: 3_000,
+            parsec_phase: 1_000,
+            seed: 42,
+        },
+        ..tiny_spec("4B")
+    };
+    conn.send(&encode_runs(24, 1, false, &spec.header_line()))
+        .unwrap();
+    // A heartbeat that reports the cell in flight, then the daemon is gone.
+    while !conn.recv().unwrap().contains("\"serve.worker.busy_n\":25") {}
+    drop(conn);
+    drop(listener);
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = host.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = host.kill();
+            let _ = host.wait();
+            panic!("worker host outlived its daemon by 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    assert!(status.success(), "{status:?}");
+    let cached = std::fs::read_to_string(&cache).unwrap_or_default();
+    assert!(
+        !cached.contains("CELL"),
+        "the orphaned host finished its cell instead of stopping"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
