@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use tlpsim_power::{CoreKind, PowerModel};
 use tlpsim_sched::{assign_threads, Placement, ThreadTraits};
 use tlpsim_uarch::{
-    ChipConfig, CoreConfig, CpiStacks, Cycle, MultiCore, RunResult, RunStatus, ThreadProgram,
+    ChipConfig, ChipCpi, CoreConfig, Cycle, MultiCore, RunResult, RunStatus, ThreadProgram,
     TraceSink, DEFAULT_WATCHDOG_CYCLES,
 };
 use tlpsim_workloads::{mix, parsec, spec, InstrStream, ParsecApp, Segment};
@@ -300,8 +300,8 @@ impl Ctx {
     }
 
     /// [`new_sim`](Self::new_sim) with an explicit trace sink (the
-    /// sampled path needs [`CpiStacks`] accounting for its live
-    /// counters).
+    /// sampled path needs [`ChipCpi`] accounting for its phase
+    /// detector).
     fn new_sim_with<S: TraceSink>(&self, chip: &ChipConfig, sink: S) -> MultiCore<S> {
         let mut sim = MultiCore::with_sink(chip, sink);
         sim.set_watchdog(self.watchdog_cycles);
@@ -512,10 +512,10 @@ impl Ctx {
                 self.finish_run(sim, &tag)?
             }
             Some(cfg) => {
-                // Sampled mode: the policy needs CPI-stack accounting
-                // for its rate vectors, and the run skips in-cell
+                // Sampled mode: the policy reads chip-level CPI-stack
+                // totals for its rate vectors, and the run skips in-cell
                 // checkpointing (strides make it cheap to redo).
-                let mut sim = self.new_sim_with(&chip, CpiStacks::new());
+                let mut sim = self.new_sim_with(&chip, ChipCpi::new());
                 self.populate_mix(&mut sim, mixv, &placements, wl_seed);
                 if interrupt::requested() {
                     return Err(SimError::Interrupted);

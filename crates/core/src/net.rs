@@ -13,6 +13,9 @@
 //!   line beyond that cap yields one `Oversized` error and the decoder
 //!   resynchronizes at the next newline, so a malicious or broken peer
 //!   cannot balloon memory;
+//! * [`FrameReader`] — the decoder over a blocking pipe, so the serve
+//!   supervisor and its pipe workers get the same bound and the same
+//!   typed errors as TCP peers;
 //! * [`FramedConn`] — a `TcpStream` wrapper with per-connection read
 //!   and write deadlines. A stalled or slow-loris peer surfaces as
 //!   [`FrameError::TimedOut`] on *this* connection; it cannot wedge the
@@ -130,6 +133,61 @@ impl FrameDecoder {
             return Some(Err(FrameError::Oversized { limit: MAX_FRAME }));
         }
         None
+    }
+}
+
+/// Blocking frame reader over a pipe (a worker's stdin, a supervisor's
+/// view of a worker's stdout): [`FrameDecoder`] fed from `inner`, so a
+/// pipe peer is held to [`MAX_FRAME`] and its bad lines surface as
+/// typed [`FrameError::Corrupt`]/[`FrameError::Oversized`] items,
+/// never as unbounded buffering. An unterminated last line at end of
+/// stream (a writer killed mid-frame) is one `Corrupt` item. Iteration
+/// ends at end of stream or on a read error.
+#[derive(Debug)]
+pub struct FrameReader<R> {
+    inner: R,
+    dec: FrameDecoder,
+    done: bool,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// A reader over `inner` with an empty decoder.
+    pub fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            dec: FrameDecoder::new(),
+            done: false,
+        }
+    }
+}
+
+impl<R: Read> Iterator for FrameReader<R> {
+    type Item = Result<String, FrameError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if let Some(res) = self.dec.next() {
+                return Some(res);
+            }
+            if self.done {
+                return None;
+            }
+            let mut chunk = [0u8; 4096];
+            match self.inner.read(&mut chunk) {
+                Ok(0) => {
+                    self.done = true;
+                    let torn = !self.dec.buf.is_empty();
+                    self.dec = FrameDecoder::new();
+                    if torn {
+                        let why = "unterminated frame at end of stream".into();
+                        return Some(Err(FrameError::Corrupt(why)));
+                    }
+                }
+                Ok(n) => self.dec.feed(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.done = true,
+            }
+        }
     }
 }
 
@@ -332,6 +390,24 @@ mod tests {
         assert!(dec.next().is_none());
         dec.feed(frame_payload("EXIT").as_bytes());
         assert_eq!(dec.next().unwrap().unwrap(), "EXIT");
+    }
+
+    #[test]
+    fn frame_reader_bounds_a_pipe_and_reports_a_torn_tail() {
+        let mut wire = vec![b'x'; MAX_FRAME + 8192];
+        wire.push(b'\n');
+        wire.extend_from_slice(frame_payload("EXIT").as_bytes());
+        let torn = frame_payload("HB {}");
+        wire.extend_from_slice(&torn.as_bytes()[..torn.len() / 2]);
+        let got: Vec<_> = FrameReader::new(&wire[..]).collect();
+        assert_eq!(got.len(), 3, "{got:?}");
+        assert_eq!(got[0], Err(FrameError::Oversized { limit: MAX_FRAME }));
+        assert_eq!(got[1], Ok("EXIT".to_string()));
+        assert!(matches!(got[2], Err(FrameError::Corrupt(_))));
+        // A stream that ends on a frame boundary ends cleanly.
+        let clean = frame_payload("EXIT");
+        let got: Vec<_> = FrameReader::new(clean.as_bytes()).collect();
+        assert_eq!(got, vec![Ok("EXIT".to_string())]);
     }
 
     #[test]

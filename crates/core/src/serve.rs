@@ -36,7 +36,7 @@
 //! rejected by checksum, retried by policy.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
@@ -45,10 +45,11 @@ use std::time::{Duration, Instant};
 use tlpsim_workloads::SplitMix64;
 
 use crate::ctx::Cell;
-use crate::diskcache::{frame_payload, unframe, Record};
+use crate::diskcache::{frame_payload, Record};
 use crate::error::SimError;
 use crate::interrupt;
 use crate::journal::Journal;
+use crate::net::{FrameError, FrameReader};
 use crate::worker::{decode_done, decode_err, Request};
 use crate::SWEEP_COUNTS;
 
@@ -253,9 +254,9 @@ impl Slot {
     }
 }
 
-/// A line (or EOF) from one worker's stdout, stamped with slot + gen.
+/// A frame (or EOF) from one worker's stdout, stamped with slot + gen.
 enum WorkerEvent {
-    Line(String),
+    Frame(Result<String, FrameError>),
     Eof,
 }
 
@@ -303,10 +304,8 @@ fn spawn_worker(
     }
     let tx = tx.clone();
     std::thread::spawn(move || {
-        let reader = BufReader::new(stdout);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            if tx.send((slot_idx, gen, WorkerEvent::Line(line))).is_err() {
+        for frame in FrameReader::new(stdout) {
+            if tx.send((slot_idx, gen, WorkerEvent::Frame(frame))).is_err() {
                 return; // supervisor is gone
             }
         }
@@ -477,15 +476,16 @@ pub fn serve_sweep(
             Ok((idx, gen, ev)) => {
                 if slots[idx].gen != gen {
                     // Leftover from a predecessor killed on this slot.
-                    if matches!(ev, WorkerEvent::Line(_)) {
+                    if matches!(ev, WorkerEvent::Frame(_)) {
                         stats.rejected_frames += 1;
                     }
                 } else {
                     match ev {
-                        WorkerEvent::Line(line) => match unframe(&line) {
-                            Err(_) => stats.rejected_frames += 1, // torn frame
+                        WorkerEvent::Frame(frame) => match frame {
+                            // Torn, corrupt or oversized.
+                            Err(_) => stats.rejected_frames += 1,
                             Ok(payload) => handle_payload(
-                                payload,
+                                &payload,
                                 idx,
                                 &mut slots,
                                 journal,

@@ -87,7 +87,7 @@
 //! `persist` removes that guarantee, which is how the quarantine path
 //! itself is tested.
 
-use std::io::{BufRead, Read, Write};
+use std::io::{Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -98,7 +98,7 @@ use tlpsim_workloads::SplitMix64;
 
 use crate::configs;
 use crate::ctx::Ctx;
-use crate::diskcache::{unframe, Record};
+use crate::diskcache::Record;
 use crate::error::SimError;
 use crate::executor::lock_unpoisoned;
 use crate::journal::SweepSpec;
@@ -637,14 +637,16 @@ pub fn worker_main(header: &str, ckpt_dir: Option<&str>) -> i32 {
 
     writer.send(&format!("HELLO {} {PROTOCOL_VERSION}", std::process::id()));
 
-    let stdin = std::io::stdin();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        let req = match unframe(&line).and_then(Request::decode) {
+    for frame in net::FrameReader::new(std::io::stdin().lock()) {
+        let req = match frame
+            .map_err(|e| e.to_string())
+            .and_then(|p| Request::decode(&p))
+        {
             Ok(r) => r,
             Err(why) => {
-                // A torn request frame: ignore it. The supervisor owns
-                // the pipe; if it really wedged, EOF follows shortly.
+                // A torn, corrupt or oversized request frame: ignore
+                // it. The supervisor owns the pipe; if it really
+                // wedged, EOF follows shortly.
                 eprintln!("tlpsim worker: dropping bad request frame: {why}");
                 continue;
             }

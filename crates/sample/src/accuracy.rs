@@ -28,18 +28,17 @@ pub struct AccuracyReport {
 ///
 /// A thread that finished in one run but not the other scores error
 /// 1.0 (the worst representable relative error) rather than NaN, so a
-/// sampling bug that loses a thread's finish cannot hide.
+/// sampling bug that loses a thread's finish cannot hide; so does a
+/// thread present in only one of the runs. `cpi_rel_err` has one entry
+/// per thread of the longer run.
 pub fn compare_results(exact: &RunResult, sampled: &RunResult, budget: u64) -> AccuracyReport {
     let mut report = AccuracyReport::default();
-    for (e, s) in exact.threads.iter().zip(&sampled.threads) {
-        let (ie, is) = (e.ipc(budget), s.ipc(budget));
-        let err = if ie > 0.0 && is > 0.0 {
-            let (ce, cs) = (1.0 / ie, 1.0 / is);
-            (cs - ce).abs() / ce
-        } else if ie == 0.0 && is == 0.0 {
-            0.0
-        } else {
-            1.0
+    let n = exact.threads.len().max(sampled.threads.len());
+    for t in 0..n {
+        let ipc = |r: &RunResult| r.threads.get(t).map(|th| th.ipc(budget));
+        let err = match (ipc(exact), ipc(sampled)) {
+            (Some(ie), Some(is)) => cpi_rel_err(ie, is),
+            _ => 1.0,
         };
         report.cpi_rel_err.push(err);
         report.max_cpi_rel_err = report.max_cpi_rel_err.max(err);
@@ -49,6 +48,19 @@ pub fn compare_results(exact: &RunResult, sampled: &RunResult, budget: u64) -> A
             (sampled.cycles as f64 - exact.cycles as f64).abs() / exact.cycles as f64;
     }
     report
+}
+
+/// Relative CPI error of a sampled IPC `is` against an exact IPC `ie`:
+/// 0 when neither thread finished, 1.0 when only one did.
+fn cpi_rel_err(ie: f64, is: f64) -> f64 {
+    if ie > 0.0 && is > 0.0 {
+        let (ce, cs) = (1.0 / ie, 1.0 / is);
+        (cs - ce).abs() / ce
+    } else if ie == 0.0 && is == 0.0 {
+        0.0
+    } else {
+        1.0
+    }
 }
 
 /// Worst absolute difference between the chip-level CPI-stack
@@ -123,6 +135,24 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(compare_results(&exact, &sampled, 1000).max_cpi_rel_err, 1.0);
+    }
+
+    #[test]
+    fn unmatched_threads_score_worst_case() {
+        let exact = RunResult {
+            cycles: 1000,
+            threads: vec![thread(0, 1000), thread(0, 1000)],
+            ..Default::default()
+        };
+        let lost = RunResult {
+            threads: vec![thread(0, 1000)],
+            ..exact.clone()
+        };
+        for (e, s) in [(&exact, &lost), (&lost, &exact)] {
+            let rep = compare_results(e, s, 1000);
+            assert_eq!(rep.cpi_rel_err, vec![0.0, 1.0]);
+            assert_eq!(rep.max_cpi_rel_err, 1.0);
+        }
     }
 
     #[test]

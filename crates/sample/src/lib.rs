@@ -3,10 +3,11 @@
 //! Wraps the detailed engine ([`tlpsim_uarch::MultiCore`]) in a
 //! **detect → extrapolate → verify** loop (DESIGN.md §15):
 //!
-//! 1. a [`SteadyDetector`] watches windowed deltas of the live counter
-//!    registry — per-thread commit rates, per-component CPI-stack
-//!    shares, cache miss rates — and declares a stable phase when two
-//!    successive windows agree within a configurable tolerance;
+//! 1. a [`SteadyDetector`] watches windowed deltas of the engine's
+//!    typed [`WindowCounters`](tlpsim_uarch::WindowCounters) —
+//!    per-thread commit rates, chip-level CPI-stack shares, cache miss
+//!    rates — and declares a stable phase when two successive windows
+//!    agree within a configurable tolerance;
 //! 2. an [`IntervalPolicy`] then asks the engine to advance a large
 //!    stride analytically (time-shift extrapolation at the measured
 //!    steady-state rates), re-entering detailed simulation every
@@ -17,20 +18,24 @@
 //!    accompanied by a measured bound rather than a hope.
 //!
 //! The extrapolation mechanism itself lives in the engine
-//! ([`MultiCore::run_sampled`], [`MultiCore::try_extrapolate`]); this
-//! crate supplies the policy that drives it and the validation
-//! tooling around it. Runs whose schedule is not extrapolation-safe
+//! ([`MultiCore::run_sampled`], [`MultiCore::try_extrapolate`]), over
+//! any [`SampleSink`]: [`ChipCpi`](tlpsim_uarch::ChipCpi) keeps only
+//! the chip-level CPI totals the detector reads,
+//! [`CpiStacks`](tlpsim_uarch::CpiStacks) also keeps per-context
+//! stacks, and both give bit-identical runs. This crate supplies the
+//! policy that drives the engine and the validation tooling around it.
+//! Runs whose schedule is not extrapolation-safe
 //! (segmented/synchronizing threads, time-shared contexts) degrade
 //! gracefully: every stride is refused and the run completes fully
 //! detailed, bit-identical to exact mode minus the wall-clock win.
 //!
 //! ```
 //! use tlpsim_sample::{run_sampled, SampleConfig};
-//! use tlpsim_uarch::{ChipConfig, CoreConfig, CpiStacks, MultiCore, ThreadProgram};
+//! use tlpsim_uarch::{ChipConfig, ChipCpi, CoreConfig, MultiCore, ThreadProgram};
 //! use tlpsim_workloads::{spec, InstrStream};
 //!
 //! let chip = ChipConfig::homogeneous(1, CoreConfig::big(), 2.66);
-//! let mut sim = MultiCore::with_sink(&chip, CpiStacks::new());
+//! let mut sim = MultiCore::with_sink(&chip, ChipCpi::new());
 //! let t = sim.add_thread(ThreadProgram::multiprogram(
 //!     InstrStream::new(&spec::hmmer_like(), 0, 42),
 //!     20_000,
@@ -47,10 +52,10 @@ mod policy;
 
 pub use accuracy::{compare_results, stack_share_abs_err, AccuracyReport};
 pub use detector::SteadyDetector;
-pub use policy::{rate_vector, IntervalPolicy};
+pub use policy::IntervalPolicy;
 
 use std::fmt;
-use tlpsim_uarch::{CpiStacks, Cycle, MultiCore, RunError, RunResult, SampleStats};
+use tlpsim_uarch::{Cycle, MultiCore, RunError, RunResult, SampleSink, SampleStats};
 
 /// Hard floor on the measurement window: one calendar-wheel span, so a
 /// window always observes at least one full wheel rotation.
@@ -197,8 +202,8 @@ impl SampleConfig {
 /// # Errors
 /// Exactly [`MultiCore::run_sampled`]'s errors (unpinned threads,
 /// stalls, cycle `limit` exceeded).
-pub fn run_sampled(
-    sim: &mut MultiCore<CpiStacks>,
+pub fn run_sampled<S: SampleSink>(
+    sim: &mut MultiCore<S>,
     cfg: SampleConfig,
     limit: Cycle,
 ) -> Result<(RunResult, SampleStats), RunError> {

@@ -2,81 +2,64 @@
 //! detection driving interval-model extrapolation.
 
 use crate::{SampleConfig, SteadyDetector};
-use tlpsim_trace::CounterSnapshot;
-use tlpsim_uarch::{CpiComponent, Cycle, SampleDecision, SamplePolicy};
+use tlpsim_uarch::{Cycle, SampleDecision, SamplePolicy, WindowCounters};
 
-/// Number of CPI-stack components in the rate vector.
-const N_COMP: usize = CpiComponent::ALL.len();
-
-/// Distill one window's counter delta into the rate vector the
-/// [`SteadyDetector`] compares (DESIGN.md §15):
+/// Distill the window between two cumulative counter reads, `prev` and
+/// `cur`, into the rate vector the [`SteadyDetector`] compares
+/// (DESIGN.md §15), written to `out`:
 ///
 /// * one entry per software thread — committed instructions per cycle,
-/// * [`CpiComponent::ALL`] chip-level stack *shares* (each component's
-///   fraction of all attributed cycles),
+/// * the chip-level CPI-stack *shares* (each component's fraction of
+///   all attributed cycles),
 /// * L1D, L2 and LLC miss rates (misses per access, summed over
 ///   cores), and DRAM accesses per cycle.
 ///
 /// Everything except the commit rates is a ratio in `[0, 1]`, which
 /// the detector's scale-aware rule compares absolutely against the
-/// tolerance. Returns `None` when the delta spans zero cycles.
-pub fn rate_vector(delta: &CounterSnapshot) -> Option<Vec<f64>> {
-    let w = delta.get_u64("run.cycles").filter(|&w| w > 0)? as f64;
-    let mut commit_rates = Vec::new();
-    let mut comps = [0.0f64; N_COMP];
-    let (mut l1d, mut l2, mut llc) = ([0.0f64; 2], [0.0f64; 2], [0.0f64; 2]);
-    let mut dram = 0.0f64;
-    for (key, val) in delta.iter() {
-        let v = val.as_f64();
-        if let Some(rest) = key.strip_prefix("thread") {
-            if rest.ends_with(".committed") {
-                commit_rates.push(v / w);
-            }
-        } else if key.starts_with("cpi.") {
-            let name = key.rsplit('.').next().unwrap_or("");
-            if let Some(c) = CpiComponent::ALL.iter().find(|c| c.name() == name) {
-                comps[c.index()] += v;
-            }
-        } else if key.starts_with("mem.core") {
-            if key.ends_with(".l1d.hits") {
-                l1d[0] += v;
-            } else if key.ends_with(".l1d.misses") {
-                l1d[1] += v;
-            } else if key.ends_with(".l2.hits") {
-                l2[0] += v;
-            } else if key.ends_with(".l2.misses") {
-                l2[1] += v;
-            }
-        } else if key == "mem.llc.hits" {
-            llc[0] = v;
-        } else if key == "mem.llc.misses" {
-            llc[1] = v;
-        } else if key == "mem.dram.accesses" {
-            dram = v;
-        }
+/// tolerance. Returns `false` (and leaves `out` unspecified) when the
+/// window spans zero cycles.
+fn window_rates(prev: &WindowCounters, cur: &WindowCounters, out: &mut Vec<f64>) -> bool {
+    let d = |cur: u64, prev: u64| cur.saturating_sub(prev) as f64;
+    let w = d(cur.cycles, prev.cycles);
+    if w == 0.0 {
+        return false;
     }
-    let mut rates = commit_rates;
-    let total: f64 = comps.iter().sum();
-    for c in comps {
-        rates.push(if total > 0.0 { c / total } else { 0.0 });
-    }
-    let miss_rate = |hm: [f64; 2]| {
-        let acc = hm[0] + hm[1];
+    out.clear();
+    out.extend(
+        cur.committed
+            .iter()
+            .zip(&prev.committed)
+            .map(|(&c, &p)| d(c, p) / w),
+    );
+    let comps = cur.cpi.iter().zip(&prev.cpi).map(|(&c, &p)| d(c, p));
+    let total: f64 = comps.clone().sum();
+    out.extend(comps.map(|c| if total > 0.0 { c / total } else { 0.0 }));
+    let miss_rate = |hits: f64, misses: f64| {
+        let acc = hits + misses;
         if acc > 0.0 {
-            hm[1] / acc
+            misses / acc
         } else {
             0.0
         }
     };
-    rates.push(miss_rate(l1d));
-    rates.push(miss_rate(l2));
-    rates.push(miss_rate(llc));
-    rates.push(dram / w);
-    Some(rates)
+    out.push(miss_rate(
+        d(cur.l1d_hits, prev.l1d_hits),
+        d(cur.l1d_misses, prev.l1d_misses),
+    ));
+    out.push(miss_rate(
+        d(cur.l2_hits, prev.l2_hits),
+        d(cur.l2_misses, prev.l2_misses),
+    ));
+    out.push(miss_rate(
+        d(cur.llc_hits, prev.llc_hits),
+        d(cur.llc_misses, prev.llc_misses),
+    ));
+    out.push(d(cur.dram_accesses, prev.dram_accesses) / w);
+    true
 }
 
-/// The reference sampled-mode policy: diff successive live-counter
-/// snapshots into per-window [`rate_vector`]s, feed them to a
+/// The reference sampled-mode policy: diff successive window-counter
+/// reads into per-window rate vectors, feed them to a
 /// [`SteadyDetector`], and request an extrapolation the moment two
 /// successive windows agree. Both reset flavors discard the snapshot
 /// chain (cumulative counters are discontinuous across a stride), but
@@ -99,7 +82,10 @@ pub fn rate_vector(delta: &CounterSnapshot) -> Option<Vec<f64>> {
 pub struct IntervalPolicy {
     cfg: SampleConfig,
     detector: SteadyDetector,
-    prev: Option<CounterSnapshot>,
+    /// The previous window's counters; `None` right after a reset.
+    prev: Option<WindowCounters>,
+    /// Rate-vector buffer, reused every window.
+    rates: Vec<f64>,
     ramp: Cycle,
     extrapolate_pending: bool,
 }
@@ -113,6 +99,7 @@ impl IntervalPolicy {
             ramp: Self::initial_ramp(&cfg),
             cfg,
             prev: None,
+            rates: Vec::new(),
             extrapolate_pending: false,
         }
     }
@@ -132,24 +119,24 @@ impl SamplePolicy for IntervalPolicy {
         Cycle::from(self.cfg.window)
     }
 
-    fn observe(&mut self, counters: &CounterSnapshot) -> SampleDecision {
+    fn observe(&mut self, counters: &WindowCounters) -> SampleDecision {
         // Reaching another observe() with the flag still set means the
         // engine refused our last extrapolation (no reset happened):
         // the pending ramp-up must not be misattributed to whatever
         // reset comes next.
         self.extrapolate_pending = false;
-        let decision = match &self.prev {
-            Some(prev) => match rate_vector(&counters.delta_since(prev)) {
-                Some(rates) if self.detector.observe(&rates) => {
-                    self.extrapolate_pending = true;
-                    SampleDecision::Extrapolate { stride: self.ramp }
-                }
-                _ => SampleDecision::Measure,
-            },
-            None => SampleDecision::Measure,
-        };
-        self.prev = Some(counters.clone());
-        decision
+        let steady = self.prev.as_ref().is_some_and(|prev| {
+            window_rates(prev, counters, &mut self.rates) && self.detector.observe(&self.rates)
+        });
+        self.prev
+            .get_or_insert_with(WindowCounters::default)
+            .clone_from(counters);
+        if steady {
+            self.extrapolate_pending = true;
+            SampleDecision::Extrapolate { stride: self.ramp }
+        } else {
+            SampleDecision::Measure
+        }
     }
 
     fn reset(&mut self) {
@@ -178,29 +165,41 @@ impl SamplePolicy for IntervalPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tlpsim_uarch::{CpiComponent, N_COMPONENTS};
 
-    fn snap(cycles: u64, committed: u64, l1d_miss: u64) -> CounterSnapshot {
-        let mut s = CounterSnapshot::new();
-        s.add_u64("run.cycles", cycles);
-        s.add_u64("thread0.committed", committed);
-        s.add_u64("mem.core0.l1d.hits", committed.saturating_sub(l1d_miss));
-        s.add_u64("mem.core0.l1d.misses", l1d_miss);
-        s.add_u64("cpi.core0.slot0.base", cycles / 2);
-        s.add_u64("cpi.core0.slot0.l1", cycles / 2);
-        s
+    fn snap(cycles: u64, committed: u64, l1d_miss: u64) -> WindowCounters {
+        let mut cpi = [0; N_COMPONENTS];
+        cpi[CpiComponent::Base.index()] = cycles / 2;
+        cpi[CpiComponent::L1.index()] = cycles / 2;
+        WindowCounters {
+            cycles,
+            committed: vec![committed],
+            cpi,
+            l1d_hits: committed.saturating_sub(l1d_miss),
+            l1d_misses: l1d_miss,
+            ..WindowCounters::default()
+        }
     }
 
     #[test]
-    fn rate_vector_shape_and_values() {
-        let rates = rate_vector(&snap(1000, 1500, 150)).unwrap();
+    fn window_rates_shape_and_values() {
+        let mut rates = Vec::new();
+        assert!(window_rates(
+            &snap(0, 0, 0),
+            &snap(1000, 1500, 150),
+            &mut rates
+        ));
         // 1 thread + 11 components + 3 miss rates + dram rate.
-        assert_eq!(rates.len(), 1 + N_COMP + 4);
+        assert_eq!(rates.len(), 1 + N_COMPONENTS + 4);
         assert!((rates[0] - 1.5).abs() < 1e-12, "commit rate {}", rates[0]);
         // base and l1 each hold half the attributed cycles.
         let base_share = rates[1 + CpiComponent::Base.index()];
         assert!((base_share - 0.5).abs() < 1e-12);
         // l1d miss rate = 150 / 1500.
-        assert!((rates[1 + N_COMP] - 0.1).abs() < 1e-12);
+        assert!((rates[1 + N_COMPONENTS] - 0.1).abs() < 1e-12);
+        // An empty window has no rates.
+        let s = snap(1000, 1500, 150);
+        assert!(!window_rates(&s, &s, &mut rates));
     }
 
     #[test]

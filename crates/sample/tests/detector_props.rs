@@ -13,8 +13,7 @@ fn unit(rng: &mut SplitMix64) -> f64 {
 }
 
 /// A random rate vector: commit-rate-like magnitudes mixed with
-/// ratio-like near-zero entries, as [`tlpsim_sample::rate_vector`]
-/// produces.
+/// ratio-like near-zero entries, as the sampled-mode policy produces.
 fn rand_rates(rng: &mut SplitMix64, dim: usize) -> Vec<f64> {
     (0..dim)
         .map(|_| {

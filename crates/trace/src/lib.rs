@@ -34,10 +34,10 @@ mod registry;
 mod sink;
 
 pub use chrome::{chrome_trace_json, write_chrome_trace};
-pub use cpi::{CpiComponent, CpiStacks, StackKey, N_COMPONENTS};
+pub use cpi::{ChipCpi, CpiComponent, CpiStacks, StackKey, N_COMPONENTS};
 pub use event::{EventRing, TraceEvent, DEFAULT_RING_CAP};
 pub use registry::{CounterSnapshot, CounterValue};
-pub use sink::{NopSink, TraceSink, Tracer};
+pub use sink::{NopSink, SampleSink, TraceSink, Tracer};
 
 /// Parsed `TLPSIM_TRACE=<path>[:<cap>]` activation surface.
 #[derive(Debug, Clone, PartialEq, Eq)]

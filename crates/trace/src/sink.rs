@@ -1,6 +1,8 @@
 //! The zero-cost sink abstraction the simulator is generic over.
 
-use crate::{CpiComponent, CpiStacks, EventRing, TraceEvent, DEFAULT_RING_CAP};
+use crate::{
+    ChipCpi, CpiComponent, CpiStacks, EventRing, TraceEvent, DEFAULT_RING_CAP, N_COMPONENTS,
+};
 
 /// Receiver for cycle attributions and structural events.
 ///
@@ -48,6 +50,59 @@ impl TraceSink for CpiStacks {
 
     #[inline]
     fn event(&mut self, _ev: TraceEvent) {}
+}
+
+/// Chip-level accounting sink: one total per component, ignores events.
+impl TraceSink for ChipCpi {
+    const ENABLED: bool = true;
+
+    #[inline]
+    fn attr(&mut self, _core: usize, _slot: usize, comp: CpiComponent, span: u64) {
+        self.totals[comp.index()] += span;
+    }
+
+    #[inline]
+    fn event(&mut self, _ev: TraceEvent) {}
+}
+
+/// A CPI sink the sampled engine can observe and extrapolate
+/// (DESIGN.md §15): the phase detector reads its chip-wide component
+/// totals, and an applied stride credits it the cycles attributed since
+/// an earlier copy of itself (the window baseline), scaled to the
+/// stride.
+pub trait SampleSink: TraceSink + Clone {
+    /// Chip-wide sum of each component over all contexts.
+    fn chip_totals(&self) -> [u64; N_COMPONENTS];
+
+    /// Credit the cycles accumulated since `base` (an earlier copy of
+    /// this sink), scaled by `num / den`, on top of the current values.
+    ///
+    /// # Panics
+    /// When `den == 0`.
+    fn credit_scaled(&mut self, base: &Self, num: u64, den: u64);
+}
+
+impl SampleSink for CpiStacks {
+    fn chip_totals(&self) -> [u64; N_COMPONENTS] {
+        CpiStacks::chip_totals(self)
+    }
+
+    fn credit_scaled(&mut self, base: &Self, num: u64, den: u64) {
+        CpiStacks::credit_scaled(self, base, num, den);
+    }
+}
+
+impl SampleSink for ChipCpi {
+    fn chip_totals(&self) -> [u64; N_COMPONENTS] {
+        self.totals
+    }
+
+    fn credit_scaled(&mut self, base: &Self, num: u64, den: u64) {
+        assert!(den > 0, "scaling window must be non-empty");
+        for (v, &was) in self.totals.iter_mut().zip(&base.totals) {
+            *v += (u128::from(*v - was) * u128::from(num) / u128::from(den)) as u64;
+        }
+    }
 }
 
 /// Full sink: CPI stacks plus the bounded event ring.
@@ -145,6 +200,30 @@ mod tests {
         );
         TraceSink::attr(&mut s, 0, 1, CpiComponent::Base, 2);
         assert_eq!(s.total(0, 1), 2);
+    }
+
+    #[test]
+    fn chip_sink_matches_per_context_totals() {
+        let (mut chip, mut ctx) = (ChipCpi::new(), CpiStacks::new());
+        for (core, slot, comp, span) in [
+            (0, 0, CpiComponent::Base, 5),
+            (1, 1, CpiComponent::Dram, 7),
+            (0, 1, CpiComponent::Dram, 2),
+        ] {
+            TraceSink::attr(&mut chip, core, slot, comp, span);
+            TraceSink::attr(&mut ctx, core, slot, comp, span);
+        }
+        assert_eq!(
+            SampleSink::chip_totals(&chip),
+            SampleSink::chip_totals(&ctx)
+        );
+        // Credit the 3 Base cycles since `base`, scaled by 2/1.
+        let base = chip;
+        TraceSink::attr(&mut chip, 0, 0, CpiComponent::Base, 3);
+        SampleSink::credit_scaled(&mut chip, &base, 2, 1);
+        let totals = SampleSink::chip_totals(&chip);
+        assert_eq!(totals[CpiComponent::Base.index()], 5 + 3 + 6);
+        assert_eq!(totals[CpiComponent::Dram.index()], 9);
     }
 
     #[test]

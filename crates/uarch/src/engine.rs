@@ -22,10 +22,10 @@
 //! legacy dense stepper when debugging.
 
 use tlpsim_mem::{
-    fnv1a64, snap_ensure, Cycle, FastMap, MemCounters, MemorySystem, SnapError, SnapReader,
-    SnapWriter,
+    fnv1a64, snap_ensure, CoreMemStats, Cycle, FastMap, MemCounters, MemorySystem, SnapError,
+    SnapReader, SnapWriter,
 };
-use tlpsim_trace::{CounterSnapshot, CpiStacks, NopSink, TraceSink};
+use tlpsim_trace::{NopSink, SampleSink, TraceSink, N_COMPONENTS};
 
 use crate::calwheel::WHEEL;
 use crate::config::ChipConfig;
@@ -1171,12 +1171,42 @@ impl<S: TraceSink + SnapshotSink> MultiCore<S> {
 /// window, from which [`MultiCore::try_extrapolate`] derives
 /// steady-state rates (sampled mode, DESIGN.md §15).
 #[derive(Debug, Clone)]
-pub struct SampleBaseline {
+pub struct SampleBaseline<S> {
     now: Cycle,
     thread_committed: Vec<u64>,
     cores: Vec<CoreStats>,
     mem: MemCounters,
-    cpi: CpiStacks,
+    cpi: S,
+}
+
+/// The cumulative counters a [`SamplePolicy`] observes at the end of
+/// each detailed window (sampled mode, DESIGN.md §15): exactly what the
+/// phase detector reads, in a fixed layout. Every field is a monotonic
+/// count, so the difference of two observations is that window's
+/// activity.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowCounters {
+    /// The machine's clock.
+    pub cycles: Cycle,
+    /// Committed instructions per software thread, by [`ThreadId`].
+    pub committed: Vec<u64>,
+    /// Chip-wide CPI-stack totals, by
+    /// [`CpiComponent::index`](tlpsim_trace::CpiComponent::index).
+    pub cpi: [u64; N_COMPONENTS],
+    /// L1 data-cache hits, summed over cores.
+    pub l1d_hits: u64,
+    /// L1 data-cache misses, summed over cores.
+    pub l1d_misses: u64,
+    /// Private L2 hits, summed over cores.
+    pub l2_hits: u64,
+    /// Private L2 misses, summed over cores.
+    pub l2_misses: u64,
+    /// Shared LLC hits.
+    pub llc_hits: u64,
+    /// Shared LLC misses.
+    pub llc_misses: u64,
+    /// DRAM accesses served.
+    pub dram_accesses: u64,
 }
 
 /// Sampled-run bookkeeping reported alongside the [`RunResult`]: how
@@ -1237,10 +1267,9 @@ pub trait SamplePolicy {
     fn window(&self) -> Cycle;
 
     /// Observe the machine's cumulative counters at the end of a
-    /// detailed window and decide. `counters` is the live registry
-    /// snapshot ([`MultiCore::live_counters`]); policies diff
-    /// successive snapshots to obtain per-window rates.
-    fn observe(&mut self, counters: &CounterSnapshot) -> SampleDecision;
+    /// detailed window and decide. Policies diff successive
+    /// observations to obtain per-window rates.
+    fn observe(&mut self, counters: &WindowCounters) -> SampleDecision;
 
     /// A phase-change event (barrier/lock traffic, thread completion,
     /// context switch) fired inside the last window, or an
@@ -1249,29 +1278,29 @@ pub trait SamplePolicy {
     fn reset(&mut self);
 }
 
-impl MultiCore<CpiStacks> {
-    /// The live counter-registry snapshot of the running machine:
-    /// `run.cycles`, per-core pipeline counters, per-thread commit
-    /// totals, memory-system counters, and the CPI stacks. This is the
-    /// surface the sampled-mode phase detector watches (windowed
-    /// deltas of commit rates, stack shares and miss rates).
-    pub fn live_counters(&self) -> CounterSnapshot {
-        let mut snap = CounterSnapshot::new();
-        snap.add_u64("run.cycles", self.now);
-        for (c, core) in self.cores.iter().enumerate() {
-            core.stats().counters_into(c, &mut snap);
-        }
-        for (t, th) in self.threads.iter().enumerate() {
-            snap.add_u64(&format!("thread{t}.committed"), th.committed);
-        }
-        self.mem.stats().counters_into(&mut snap);
-        self.sink.counters_into(&mut snap);
-        snap
+impl<S: SampleSink> MultiCore<S> {
+    /// Read the counters a [`SamplePolicy`] observes into `out`,
+    /// reusing its per-thread buffer.
+    fn window_counters(&self, out: &mut WindowCounters) {
+        out.cycles = self.now;
+        out.committed.clear();
+        out.committed
+            .extend(self.threads.iter().map(|t| t.committed));
+        out.cpi = self.sink.chip_totals();
+        let mem = self.mem.raw_counters();
+        let sum = |f: fn(&CoreMemStats) -> u64| mem.per_core.iter().map(f).sum();
+        out.l1d_hits = sum(|c| c.l1d_hits);
+        out.l1d_misses = sum(|c| c.l1d_misses);
+        out.l2_hits = sum(|c| c.l2_hits);
+        out.l2_misses = sum(|c| c.l2_misses);
+        out.llc_hits = mem.llc_hits;
+        out.llc_misses = mem.llc_misses;
+        out.dram_accesses = mem.dram_accesses;
     }
 
     /// Capture the extrapolation baseline at the start of a detailed
     /// measurement window.
-    pub fn sample_baseline(&self) -> SampleBaseline {
+    pub fn sample_baseline(&self) -> SampleBaseline<S> {
         SampleBaseline {
             now: self.now,
             thread_committed: self.threads.iter().map(|t| t.committed).collect(),
@@ -1306,7 +1335,7 @@ impl MultiCore<CpiStacks> {
     /// so extrapolation does not race (far) past the estimated
     /// completion of the last thread, and is aligned up to the
     /// calendar-wheel span.
-    pub fn try_extrapolate(&mut self, base: &SampleBaseline, stride: Cycle) -> Option<Cycle> {
+    pub fn try_extrapolate(&mut self, base: &SampleBaseline<S>, stride: Cycle) -> Option<Cycle> {
         let window = self.now.checked_sub(base.now).filter(|&w| w > 0)?;
         if stride == 0
             || self.n_segmented > 0
@@ -1413,6 +1442,7 @@ impl MultiCore<CpiStacks> {
         limit: Cycle,
     ) -> Result<(RunResult, SampleStats), RunError> {
         let mut stats = SampleStats::default();
+        let mut counters = WindowCounters::default();
         loop {
             let ev0 = self.phase_events;
             let base = self.sample_baseline();
@@ -1432,7 +1462,8 @@ impl MultiCore<CpiStacks> {
                 policy.reset();
                 continue;
             }
-            match policy.observe(&self.live_counters()) {
+            self.window_counters(&mut counters);
+            match policy.observe(&counters) {
                 SampleDecision::Measure => {}
                 SampleDecision::Extrapolate { stride } => {
                     match self.try_extrapolate(&base, stride) {

@@ -57,7 +57,7 @@ pub use config::{ChipConfig, CoreClass, CoreConfig, FetchPolicy, FuConfig, RobSh
 pub use core_model::CoreModel;
 pub use engine::{
     ContextSnapshot, LockSnapshot, MultiCore, RunError, RunStatus, SampleBaseline, SampleDecision,
-    SamplePolicy, SampleStats, StallSnapshot, DEFAULT_WATCHDOG_CYCLES,
+    SamplePolicy, SampleStats, StallSnapshot, WindowCounters, DEFAULT_WATCHDOG_CYCLES,
 };
 pub use program::{ProgramState, ThreadProgram};
 pub use snapio::SnapshotSink;
@@ -72,5 +72,6 @@ pub use tlpsim_mem::Cycle;
 /// [`MultiCore::with_sink`] and one of these sinks to collect CPI
 /// stacks and/or structural events.
 pub use tlpsim_trace::{
-    CounterSnapshot, CounterValue, CpiComponent, CpiStacks, NopSink, TraceSink, Tracer,
+    ChipCpi, CounterSnapshot, CounterValue, CpiComponent, CpiStacks, NopSink, SampleSink,
+    TraceSink, Tracer, N_COMPONENTS,
 };

@@ -19,7 +19,8 @@
 //! golden path.
 
 use tlpsim_uarch::{
-    ChipConfig, CoreConfig, CpiStacks, FetchPolicy, MultiCore, RobSharing, RunResult, ThreadProgram,
+    ChipConfig, ChipCpi, CoreConfig, CpiStacks, FetchPolicy, MultiCore, RobSharing, RunResult,
+    SampleSink, ThreadProgram, TraceSink,
 };
 use tlpsim_workloads::{parsec, spec, InstrStream, Segment};
 
@@ -67,8 +68,8 @@ fn assert_identity(r: &RunResult, stacks: &CpiStacks) {
     }
 }
 
-fn multiprogram_mix(chip: &ChipConfig, skip: bool) -> MultiCore<CpiStacks> {
-    let mut sim = MultiCore::with_sink(chip, CpiStacks::new());
+fn multiprogram_mix<S: TraceSink>(chip: &ChipConfig, skip: bool, sink: S) -> MultiCore<S> {
+    let mut sim = MultiCore::with_sink(chip, sink);
     sim.set_cycle_skipping(skip);
     let profiles = [
         spec::mcf_like(),
@@ -98,7 +99,7 @@ fn check_multiprogram(core: CoreConfig, smt: bool) -> CpiStacks {
     if !smt {
         chip = chip.without_smt();
     }
-    check_invariants(|skip| multiprogram_mix(&chip, skip))
+    check_invariants(|skip| multiprogram_mix(&chip, skip, CpiStacks::new()))
 }
 
 #[test]
@@ -297,4 +298,21 @@ fn tracing_does_not_perturb_results() {
     assert!(tracer.ring.total_recorded() > 0, "events must be recorded");
     // Every populated context must have a stack obeying the identity.
     assert_identity(&r1, &tracer.stacks);
+}
+
+#[test]
+fn chip_sink_totals_equal_per_context_sums() {
+    // The chip-level sink keeps only what the sampled-mode detector
+    // reads; it must see every attribution the per-context stacks see.
+    let chip = ChipConfig::homogeneous(2, CoreConfig::big(), 2.66);
+    for skip in [true, false] {
+        let mut per_ctx = multiprogram_mix(&chip, skip, CpiStacks::new());
+        let mut chip_level = multiprogram_mix(&chip, skip, ChipCpi::new());
+        assert_eq!(per_ctx.run().unwrap(), chip_level.run().unwrap());
+        assert_eq!(
+            chip_level.sink().chip_totals(),
+            per_ctx.sink().chip_totals(),
+            "skip {skip}: chip-level totals diverged from the per-context sums"
+        );
+    }
 }
