@@ -706,11 +706,7 @@ fn bench_serve_overhead(smoke: bool) -> String {
         let journal = Journal::create(&jpath, spec.clone()).expect("journal");
         let opts = ServeOptions {
             workers: 1,
-            worker_cmd: vec![
-                bin.clone(),
-                "__serve-worker".to_string(),
-                spec.header_line(),
-            ],
+            worker_cmd: vec![bin.clone(), "__serve-worker".to_string()],
             retry_base: Duration::from_millis(20),
             fault: FaultPolicy::Clear,
             ..ServeOptions::default()

@@ -1,10 +1,15 @@
-//! The long-running sweep daemon (DESIGN.md §16).
+//! The supervision core and the long-running sweep daemon (DESIGN.md
+//! §13, §16).
 //!
-//! `tlpsim serve --daemon <addr>` promotes the one-shot supervised
-//! sweep of [`crate::serve`] into a crash-safe, multi-client service:
-//! clients (`tlpsim submit` / `status` / `cancel`) and worker hosts
-//! both connect over TCP and speak the framed line protocol of
-//! [`crate::net`]. The daemon owns three durable artifacts:
+//! One event loop supervises worker hosts for both serve entry points.
+//! `tlpsim serve --daemon <addr>` runs it as a crash-safe, multi-client
+//! service: clients (`tlpsim submit` / `status` / `cancel`) and worker
+//! hosts both connect over TCP and speak the framed line protocol of
+//! [`crate::net`]. One-shot `tlpsim serve`
+//! ([`crate::serve::serve_sweep`]) runs the same loop in-process on a
+//! loopback listener, with its sweep's journal in place of the job
+//! queue, and returns once every cell is done or quarantined. The
+//! daemon owns three durable artifacts:
 //!
 //! * **the job queue** (`TLPSIM-QUEUE v1`) — every accepted job is
 //!   appended and fsync'd *before* the client sees `ACCEPTED`, and
@@ -24,7 +29,7 @@
 //!   [`CellKey`]; identical cells across clients share one task and
 //!   one cached result.
 //!
-//! The robustness layer mirrors the PR 6 supervisor, generalized
+//! The robustness layer is the supervision policy of [`crate::serve`]
 //! across a real network boundary: heartbeat supervision of worker
 //! hosts (generation is the connection itself — a frame from a dead
 //! predecessor's socket can never be attributed to its replacement —
@@ -53,9 +58,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -69,19 +74,18 @@ use crate::diskcache::{lock_path_for, unframe, DiskCache, FileLock, Record};
 use crate::error::SimError;
 use crate::executor::lock_unpoisoned;
 use crate::interrupt;
-use crate::journal::SweepSpec;
-use crate::net::{send_frame, FrameDecoder, FrameError};
-use crate::serve::{backoff_for, FaultPolicy, ServeOptions};
-use crate::worker::{decode_done, decode_err, encode_runs, Request, PROTOCOL_VERSION};
+use crate::journal::{ckpt_dir_for, Journal, SweepSpec};
+use crate::net::{send_frame, FrameError, FrameReader};
+use crate::serve::{FaultPolicy, ServeOptions, ServeOutcome, ServeStats};
+use crate::worker::{decode_done, decode_err, encode_runs, EXIT, PROTOCOL_VERSION};
 use crate::{SimScale, SWEEP_COUNTS};
 
 /// Queue-file format version; bump on any layout change.
 pub const QUEUE_VERSION: u32 = 1;
 
-/// Daemon policy knobs. `Default`-like production values come from
-/// [`from_env`](Self::from_env), which layers the `TLPSIM_SERVE_*`
-/// overrides (shared with the one-shot supervisor) plus the
-/// daemon-only `QUEUE_DEPTH`, `IO_TIMEOUT_MS` and `SCALE` on top.
+/// Daemon options: where it listens and what it keeps durable, plus the
+/// supervision policy it shares with one-shot `serve`. Production
+/// values come from [`from_env`](Self::from_env).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonOptions {
     /// Listen address (`host:port`; port 0 binds an ephemeral port —
@@ -91,10 +95,6 @@ pub struct DaemonOptions {
     pub queue_path: PathBuf,
     /// The shared result cache worker hosts compute through.
     pub cache_path: PathBuf,
-    /// Worker host count to spawn and supervise.
-    pub workers: usize,
-    /// Worker command line prefix; `--tcp <addr> <cache>` is appended.
-    pub worker_cmd: Vec<String>,
     /// The single simulation scale this daemon serves (jobs at any
     /// other scale are rejected — scale is cache identity).
     pub scale: SimScale,
@@ -102,27 +102,12 @@ pub struct DaemonOptions {
     pub queue_depth: usize,
     /// Per-connection read/write deadline (slow-loris bound).
     pub io_timeout: Duration,
-    /// Heartbeat cadence worker hosts are told to beat at; also the
-    /// client `TICK` cadence.
-    pub hb_interval: Duration,
-    /// Silence after which a worker host is presumed wedged and killed.
-    pub hb_timeout: Duration,
-    /// Per-cell wall-clock budget per unit of (n + 1).
-    pub cell_timeout_base: Duration,
-    /// First retry backoff; attempt `k` waits `base × 2^k` + jitter.
-    pub retry_base: Duration,
-    /// Attempts per cell before its jobs fail (≥ 1).
-    pub max_attempts: u32,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
-    /// What fault spec spawned worker hosts run under.
-    pub fault: FaultPolicy,
-    /// When set, every spawned worker PID is appended here (the chaos
-    /// harness waits for orphans through it).
-    pub pid_file: Option<PathBuf>,
     /// When set, the actually-bound address is written here once the
     /// listener is up (ephemeral-port rendezvous for tests/benches).
     pub addr_file: Option<PathBuf>,
+    /// Worker pool and supervision policy; `hb_interval` is also the
+    /// client `TICK` cadence.
+    pub serve: ServeOptions,
 }
 
 /// Parse `TLPSIM_SERVE_SCALE` (`warmup,budget,parsec_phase,seed`) —
@@ -181,10 +166,25 @@ pub fn parse_positive(name: &str, v: &str) -> Result<u64, String> {
 }
 
 impl DaemonOptions {
+    /// Production defaults for everything but the listen address and
+    /// the supervision policy.
+    pub(crate) fn new(addr: String, serve: ServeOptions) -> DaemonOptions {
+        DaemonOptions {
+            addr,
+            queue_path: PathBuf::from("tlpsim-daemon.queue"),
+            cache_path: PathBuf::from("tlpsim-daemon.cells"),
+            scale: SimScale::quick(),
+            queue_depth: 16,
+            io_timeout: Duration::from_millis(5_000),
+            addr_file: None,
+            serve,
+        }
+    }
+
     /// Production defaults for `addr`/`worker_cmd`, with every
-    /// `TLPSIM_SERVE_*` environment override applied (shared knobs via
-    /// [`ServeOptions::from_env`]; daemon-only: `QUEUE_DEPTH` — open
-    /// jobs before shedding, `IO_TIMEOUT_MS` — per-connection
+    /// `TLPSIM_SERVE_*` environment override applied (supervision
+    /// knobs via [`ServeOptions::from_env`]; daemon-only: `QUEUE_DEPTH`
+    /// — open jobs before shedding, `IO_TIMEOUT_MS` — per-connection
     /// deadline, `SCALE` — the served simulation scale).
     ///
     /// # Errors
@@ -192,26 +192,8 @@ impl DaemonOptions {
     /// not start with a silently ignored policy override (the CLI
     /// turns this into exit 2 at startup).
     pub fn from_env(addr: String, worker_cmd: Vec<String>) -> Result<DaemonOptions, String> {
-        let base = ServeOptions::from_env(Vec::new())?;
-        let mut o = DaemonOptions {
-            addr,
-            queue_path: PathBuf::from("tlpsim-daemon.queue"),
-            cache_path: PathBuf::from("tlpsim-daemon.cells"),
-            workers: base.workers,
-            worker_cmd,
-            scale: scale_from_env()?.unwrap_or_else(SimScale::quick),
-            queue_depth: 16,
-            io_timeout: Duration::from_millis(5_000),
-            hb_interval: base.hb_interval,
-            hb_timeout: base.hb_timeout,
-            cell_timeout_base: base.cell_timeout_base,
-            retry_base: base.retry_base,
-            max_attempts: base.max_attempts,
-            seed: base.seed,
-            fault: FaultPolicy::Inherit,
-            pid_file: None,
-            addr_file: None,
-        };
+        let mut o = DaemonOptions::new(addr, ServeOptions::from_env(worker_cmd)?);
+        o.scale = scale_from_env()?.unwrap_or_else(SimScale::quick);
         if let Ok(v) = std::env::var("TLPSIM_SERVE_QUEUE_DEPTH") {
             o.queue_depth = parse_positive("TLPSIM_SERVE_QUEUE_DEPTH", &v)? as usize;
         }
@@ -219,16 +201,6 @@ impl DaemonOptions {
             o.io_timeout = Duration::from_millis(parse_positive("TLPSIM_SERVE_IO_TIMEOUT_MS", &v)?);
         }
         Ok(o)
-    }
-
-    /// The wall-clock deadline of a cell at thread count `n`.
-    pub fn cell_deadline(&self, n: usize) -> Duration {
-        self.cell_timeout_base * (n as u32 + 1)
-    }
-
-    /// The retry backoff ladder (shared with [`crate::serve`]).
-    pub fn backoff(&self, n: usize, attempt: u32) -> Duration {
-        backoff_for(self.retry_base, self.seed, n, attempt)
     }
 }
 
@@ -459,47 +431,7 @@ impl QueueFile {
     }
 }
 
-/// Counters of everything the daemon did, published via `STATUS` as a
-/// [`CounterSnapshot`] — the chaos tests assert dedup and
-/// compute-once through these.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// Jobs accepted (QJOB appended).
-    pub jobs_submitted: u64,
-    /// Jobs that reached `JOBDONE`.
-    pub jobs_completed: u64,
-    /// Jobs that reached `JOBFAIL`.
-    pub jobs_failed: u64,
-    /// Jobs cancelled by clients.
-    pub jobs_cancelled: u64,
-    /// Submissions shed by admission control.
-    pub jobs_shed: u64,
-    /// Cell tasks that completed with a `DONE` frame.
-    pub cells_completed: u64,
-    /// Cells a job needed that were already cached, pending or in
-    /// flight — work *not* scheduled twice.
-    pub cells_deduped: u64,
-    /// Failed attempts re-queued with backoff.
-    pub retries: u64,
-    /// Cells that exhausted their attempt budget.
-    pub quarantined: u64,
-    /// Cell dispatches to worker hosts (including retries).
-    pub dispatched: u64,
-    /// Worker hosts spawned beyond the initial pool.
-    pub respawns: u64,
-    /// Worker hosts killed for heartbeat silence.
-    pub hb_kills: u64,
-    /// Worker hosts killed for blowing a cell deadline.
-    pub timeout_kills: u64,
-    /// Worker connections lost (death, conn-drop, partial-frame).
-    pub worker_losses: u64,
-    /// Frames rejected by checksum/shape/attempt checks.
-    pub rejected_frames: u64,
-    /// Connections accepted over the daemon's lifetime.
-    pub conns_opened: u64,
-}
-
-impl DaemonStats {
+impl ServeStats {
     /// The counter snapshot published to `STATUS` clients.
     pub fn snapshot(&self, open_jobs: usize) -> CounterSnapshot {
         let mut s = CounterSnapshot::new();
@@ -531,7 +463,7 @@ pub struct DaemonOutcome {
     /// The run ended in a graceful drain (SIGINT/SIGTERM).
     pub interrupted: bool,
     /// Lifetime counters.
-    pub stats: DaemonStats,
+    pub stats: ServeStats,
     /// Jobs still open at drain time (they persist in the queue).
     pub open_jobs: usize,
 }
@@ -565,18 +497,13 @@ struct Job {
     state: JobState,
 }
 
-/// A cell task waiting to be dispatched.
-struct PendingTask {
+/// One attempt of a cell. `due` is when it may be dispatched while it
+/// waits in the pending queue, and its wall-clock deadline once it is
+/// in flight on a worker host.
+struct Task {
     key: CellKey,
     attempt: u32,
-    ready: Instant,
-}
-
-/// A cell task in flight on a worker host.
-struct ActiveTask {
-    key: CellKey,
-    attempt: u32,
-    deadline: Instant,
+    due: Instant,
 }
 
 /// One supervised worker host. The connection id is the *generation*:
@@ -587,12 +514,14 @@ struct ActiveTask {
 struct WorkerHost {
     conn: Option<u64>,
     child: Option<Child>,
+    /// 0 marks a foreign host that joined on its own (never respawned).
     pid: u32,
-    busy: Option<ActiveTask>,
+    busy: Option<Task>,
     last_hb: Instant,
     spawned_at: Instant,
 }
 
+#[derive(Clone, Copy)]
 enum Role {
     Pending,
     Worker(usize),
@@ -605,112 +534,954 @@ struct Conn {
     opened: Instant,
 }
 
+#[derive(Debug)]
 enum Ev {
     Open(u64, TcpStream),
     Frame(u64, String),
-    Bad(u64, FrameError),
+    /// A torn, corrupt or oversized frame (the reader resynced).
+    Bad,
     Gone(u64),
 }
 
-fn reader_loop(id: u64, mut stream: TcpStream, tx: Sender<Ev>, shutdown: Arc<AtomicBool>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 4096];
+/// Bind `addr`; returns the listener and the address worker hosts
+/// connect back to (loopback when the bind was a wildcard).
+fn bind(addr: &str) -> Result<(TcpListener, String), SimError> {
+    let inv = |why: String| SimError::InvalidConfig(why);
+    let listener = TcpListener::bind(addr).map_err(|e| inv(format!("cannot bind {addr}: {e}")))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| inv(format!("no local addr: {e}")))?;
+    let connect_addr = if local.ip().is_unspecified() {
+        format!("127.0.0.1:{}", local.port())
+    } else {
+        local.to_string()
+    };
+    Ok((listener, connect_addr))
+}
+
+/// The accept thread: blocks in accept(), so a new connection is served
+/// at once; the shutdown sets the flag and then wakes it with one
+/// loopback connect.
+fn accept_loop(
+    listener: TcpListener,
+    tx: Sender<Ev>,
+    shutdown: Arc<AtomicBool>,
+    io_timeout: Duration,
+) {
+    let mut next_conn: u64 = 1;
     loop {
-        while let Some(res) = dec.next() {
-            let ev = match res {
-                Ok(p) => Ev::Frame(id, p),
-                Err(e) => Ev::Bad(id, e),
-            };
-            if tx.send(ev).is_err() {
-                return;
-            }
-        }
+        let accepted = listener.accept();
         if shutdown.load(Ordering::Relaxed) {
             return;
         }
-        match stream.read(&mut buf) {
-            Ok(0) => {
-                let _ = tx.send(Ev::Gone(id));
-                return;
+        match accepted {
+            Ok((stream, _peer)) => {
+                let id = next_conn;
+                next_conn += 1;
+                let _ = stream.set_nodelay(true);
+                let Ok(w) = stream.try_clone() else { continue };
+                // The write deadline is the slow-loris bound: a peer
+                // that will not drain our frames gets its connection
+                // dropped, not our event loop.
+                let _ = w.set_write_timeout(Some(io_timeout));
+                if tx.send(Ev::Open(id, w)).is_err() {
+                    return;
+                }
+                let tx = tx.clone();
+                let shutdown = Arc::clone(&shutdown);
+                std::thread::spawn(move || reader_loop(id, stream, &tx, &shutdown));
             }
-            Ok(k) => dec.feed(&buf[..k]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => {
-                let _ = tx.send(Ev::Gone(id));
-                return;
+            // Out of descriptors and the like: back off briefly.
+            Err(_) => std::thread::sleep(Duration::from_millis(25)),
+        }
+    }
+}
+
+/// Forward one connection's frames to the event loop, then `Gone`. A
+/// peer that died mid-frame leaves a torn tail, which arrives as one
+/// `Bad` before the `Gone`, like any frame the checksum rejects.
+fn reader_loop(id: u64, stream: TcpStream, tx: &Sender<Ev>, shutdown: &AtomicBool) {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    for frame in FrameReader::new(stream) {
+        if shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        let ev = match frame {
+            Ok(p) => Ev::Frame(id, p),
+            Err(FrameError::TimedOut) => continue,
+            Err(_) => Ev::Bad,
+        };
+        if tx.send(ev).is_err() {
+            return;
+        }
+    }
+    let _ = tx.send(Ev::Gone(id));
+}
+
+/// Collect `child`'s exit status, waiting for it until `deadline` and
+/// killing it after that (a deadline in the past kills at once unless
+/// it has already exited).
+fn reap_child(child: &mut Child, deadline: Instant) -> Option<ExitStatus> {
+    loop {
+        match child.try_wait() {
+            Ok(Some(status)) => return Some(status),
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(5)),
+            _ => {
+                let _ = child.kill();
+                return child.wait().ok();
             }
         }
     }
 }
 
-fn spawn_host(opts: &DaemonOptions, connect_addr: &str) -> Result<WorkerHost, SimError> {
-    let err = |why: String| SimError::InvalidConfig(format!("daemon: cannot spawn worker: {why}"));
-    let (prog, args) = opts
-        .worker_cmd
-        .split_first()
-        .ok_or_else(|| err("empty worker command".into()))?;
-    let mut cmd = Command::new(prog);
-    cmd.args(args)
-        .arg("--tcp")
-        .arg(connect_addr)
-        .arg(&opts.cache_path)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .env(
-            "TLPSIM_SERVE_HB_MS",
-            opts.hb_interval.as_millis().to_string(),
-        );
-    match &opts.fault {
-        FaultPolicy::Inherit => {}
-        FaultPolicy::Clear => {
-            cmd.env_remove("TLPSIM_FAULT");
-        }
-        FaultPolicy::Spec(s) => {
-            cmd.env("TLPSIM_FAULT", s);
+/// What a supervision core makes durable.
+enum Ledger<'a> {
+    /// The daemon's job queue: jobs arrive from clients, and the loop
+    /// runs until drained.
+    Queue(QueueFile),
+    /// A one-shot sweep's journal: every `DONE` is journaled before it
+    /// counts, and the loop returns once no cell is pending or in
+    /// flight.
+    Journal(&'a Journal),
+}
+
+/// The supervision state machine. One thread owns all of it, fed by
+/// one mpsc channel from the accept thread and one reader thread per
+/// connection.
+struct Core<'a> {
+    opts: &'a DaemonOptions,
+    ledger: Ledger<'a>,
+    /// The address spawned worker hosts connect back to.
+    connect_addr: String,
+    jobs: BTreeMap<u64, Job>,
+    next_job_id: u64,
+    conns: HashMap<u64, Conn>,
+    hosts: Vec<WorkerHost>,
+    pending: Vec<Task>,
+    results: HashMap<CellKey, Cell>,
+    quarantined: HashMap<CellKey, SimError>,
+    stats: ServeStats,
+    draining: bool,
+}
+
+impl<'a> Core<'a> {
+    fn new(opts: &'a DaemonOptions, ledger: Ledger<'a>, connect_addr: String) -> Core<'a> {
+        Core {
+            opts,
+            ledger,
+            connect_addr,
+            jobs: BTreeMap::new(),
+            next_job_id: 1,
+            conns: HashMap::new(),
+            hosts: Vec::new(),
+            pending: Vec::new(),
+            results: HashMap::new(),
+            quarantined: HashMap::new(),
+            stats: ServeStats::default(),
+            draining: false,
         }
     }
-    let child = cmd.spawn().map_err(|e| err(e.to_string()))?;
-    let pid = child.id();
-    if let Some(pf) = &opts.pid_file {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(pf)
+
+    fn one_shot(&self) -> bool {
+        matches!(self.ledger, Ledger::Journal(_))
+    }
+
+    /// Durably append a job transition (a no-op without a job queue).
+    fn append(&self, rec: &QRec) {
+        if let Ledger::Queue(queue) = &self.ledger {
+            queue.append(rec);
+        }
+    }
+
+    /// Spawn `n_hosts` worker hosts and run the event loop: until a
+    /// graceful drain completes, or — one-shot — until no cell is
+    /// pending or in flight. Then release every host.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] when the initial pool cannot be
+    /// spawned, or a one-shot sweep with work left has no live host and
+    /// cannot respawn one.
+    fn run(&mut self, listener: TcpListener, n_hosts: usize) -> Result<(), SimError> {
+        for _ in 0..n_hosts {
+            let host = self.spawn_host()?;
+            self.hosts.push(host);
+        }
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = channel::<Ev>();
+        let accept = {
+            let shutdown = Arc::clone(&shutdown);
+            let io_timeout = self.opts.io_timeout;
+            std::thread::spawn(move || accept_loop(listener, tx, shutdown, io_timeout))
+        };
+
+        let mut outcome = Ok(());
+        let mut last_tick = Instant::now();
+        loop {
+            if interrupt::requested() && !self.draining {
+                self.begin_drain();
+            }
+            if !self.draining {
+                self.dispatch();
+            }
+            let busy = self.hosts.iter().any(|h| h.busy.is_some());
+            if !busy && (self.draining || self.one_shot() && self.pending.is_empty()) {
+                break;
+            }
+            let alive = self
+                .hosts
+                .iter()
+                .any(|h| h.child.is_some() || h.conn.is_some());
+            if self.one_shot() && !busy && !alive {
+                outcome = Err(SimError::InvalidConfig(
+                    "serve: all workers are dead and respawn failed".into(),
+                ));
+                break;
+            }
+
+            match rx.recv_timeout(Duration::from_millis(25)) {
+                Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
+                Ok(Ev::Open(id, w)) => {
+                    self.stats.conns_opened += 1;
+                    let conn = Conn {
+                        w,
+                        role: Role::Pending,
+                        opened: Instant::now(),
+                    };
+                    self.conns.insert(id, conn);
+                }
+                // The reader already resynced; count it and keep the
+                // connection.
+                Ok(Ev::Bad) => self.stats.rejected_frames += 1,
+                Ok(Ev::Gone(id)) => self.on_gone(id),
+                Ok(Ev::Frame(id, payload)) => self.on_frame(id, &payload),
+            }
+
+            let now = Instant::now();
+            self.check_health(now);
+            if now.duration_since(last_tick) >= self.opts.serve.hb_interval {
+                last_tick = now;
+                self.tick(now);
+            }
+        }
+
+        // Shutdown: stop the accept/reader threads, release hosts.
+        shutdown.store(true, Ordering::Relaxed);
+        self.release_hosts();
+        // The accept thread sees the flag once accept() returns. If the
+        // wake-up connect fails it stays blocked, and process exit ends it.
+        let wake = self
+            .connect_addr
+            .parse::<SocketAddr>()
+            .ok()
+            .and_then(|a| TcpStream::connect_timeout(&a, Duration::from_secs(1)).ok());
+        if wake.is_some() {
+            let _ = accept.join();
+        }
+        outcome
+    }
+
+    /// Spawn one worker host that connects back to this supervisor.
+    fn spawn_host(&self) -> Result<WorkerHost, SimError> {
+        let sup = &self.opts.serve;
+        let err = |why: String| SimError::InvalidConfig(format!("cannot spawn worker: {why}"));
+        let (prog, args) = sup
+            .worker_cmd
+            .split_first()
+            .ok_or_else(|| err("empty worker command".into()))?;
+        let mut cmd = Command::new(prog);
+        cmd.args(args)
+            .arg("--tcp")
+            .arg(&self.connect_addr)
+            .arg(&self.opts.cache_path);
+        if let Ledger::Journal(journal) = &self.ledger {
+            // Hosts checkpoint in-flight cells exactly where sweep and
+            // resume would, so a drained serve resumes mid-cell.
+            cmd.arg(ckpt_dir_for(journal.path()));
+        }
+        cmd.stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .stderr(Stdio::inherit())
+            .env(
+                "TLPSIM_SERVE_HB_MS",
+                sup.hb_interval.as_millis().to_string(),
+            );
+        match &sup.fault {
+            FaultPolicy::Inherit => {}
+            FaultPolicy::Clear => {
+                cmd.env_remove("TLPSIM_FAULT");
+            }
+            FaultPolicy::Spec(s) => {
+                cmd.env("TLPSIM_FAULT", s);
+            }
+        }
+        let child = cmd.spawn().map_err(|e| err(e.to_string()))?;
+        let pid = child.id();
+        if let Some(pf) = &sup.pid_file {
+            if let Ok(mut f) = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(pf)
+            {
+                let _ = writeln!(f, "{pid}");
+            }
+        }
+        Ok(WorkerHost {
+            conn: None,
+            child: Some(child),
+            pid,
+            busy: None,
+            last_hb: Instant::now(),
+            spawned_at: Instant::now(),
+        })
+    }
+
+    /// Start the graceful drain: stop dispatching, ask busy hosts to
+    /// stop their cell (SIGTERM → their interrupt flag; with
+    /// checkpointing on, the cell checkpoints), release idle ones.
+    fn begin_drain(&mut self) {
+        self.draining = true;
+        if let Ledger::Queue(_) = self.ledger {
+            eprintln!(
+                "tlpsim: daemon draining (queue persists at {})",
+                self.opts.queue_path.display()
+            );
+        }
+        let mut idle = Vec::new();
+        for host in &self.hosts {
+            if host.busy.is_some() {
+                interrupt::send_signal(host.pid, interrupt::SIGTERM);
+            } else if let Some(cid) = host.conn {
+                idle.push(cid);
+            }
+        }
+        for cid in idle {
+            self.send_to(cid, EXIT);
+        }
+    }
+
+    /// Dispatch ready tasks to idle connected hosts (≤ 1 in flight per
+    /// host — the bounded queue).
+    fn dispatch(&mut self) {
+        let now = Instant::now();
+        for hidx in 0..self.hosts.len() {
+            let Some(cid) = self.hosts[hidx].conn else {
+                continue;
+            };
+            if self.hosts[hidx].busy.is_some() {
+                continue;
+            }
+            let Some(pos) = self.pending.iter().position(|t| t.due <= now) else {
+                break;
+            };
+            let task = self.pending.swap_remove(pos);
+            let last = task.attempt + 1 >= self.opts.serve.max_attempts;
+            let header = spec_for_key(&task.key, self.opts.scale).header_line();
+            if self.send_to(cid, &encode_runs(task.key.n, task.attempt, last, &header)) {
+                self.stats.dispatched += 1;
+                self.hosts[hidx].busy = Some(Task {
+                    due: now + self.opts.serve.cell_deadline(task.key.n),
+                    ..task
+                });
+            } else {
+                // Connection died under us: requeue untouched, the Gone
+                // event or health check will reap the host.
+                self.pending.push(task);
+            }
+        }
+    }
+
+    /// Heartbeat silence and cell deadlines for connected hosts; spawned
+    /// hosts that died on the doorstep or never phone home.
+    fn check_health(&mut self, now: Instant) {
+        let hb_timeout = self.opts.serve.hb_timeout;
+        for hidx in 0..self.hosts.len() {
+            let host = &mut self.hosts[hidx];
+            let kill = if host.conn.is_some() {
+                if now.duration_since(host.last_hb) > hb_timeout {
+                    self.stats.hb_kills += 1;
+                    Some("heartbeat lost (worker wedged)")
+                } else if host.busy.as_ref().is_some_and(|t| now >= t.due) {
+                    self.stats.timeout_kills += 1;
+                    Some("cell deadline exceeded")
+                } else {
+                    continue;
+                }
+            } else if let Some(child) = host.child.as_mut() {
+                let died = matches!(child.try_wait(), Ok(Some(_)));
+                if !died && now.duration_since(host.spawned_at) <= hb_timeout * 4 {
+                    continue;
+                }
+                self.stats.worker_losses += 1;
+                (!died).then_some("worker never connected")
+            } else {
+                continue;
+            };
+            self.reap_host(hidx, kill);
+        }
+    }
+
+    /// Periodic: `TICK` every watching client, shed slow-loris
+    /// connections.
+    fn tick(&mut self, now: Instant) {
+        let watchers: Vec<(u64, u64)> = self
+            .conns
+            .iter()
+            .filter_map(|(&cid, c)| match c.role {
+                Role::Client { job: Some(jid) } => Some((cid, jid)),
+                _ => None,
+            })
+            .collect();
+        for (cid, jid) in watchers {
+            if self
+                .jobs
+                .get(&jid)
+                .is_some_and(|j| j.state == JobState::Open)
+            {
+                self.send_to(cid, &format!("TICK {jid}"));
+            }
+        }
+        // A connection that never identified itself within the i/o
+        // deadline is a slow-loris: shed it.
+        let idle: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| {
+                matches!(c.role, Role::Pending)
+                    && now.duration_since(c.opened) > self.opts.io_timeout
+            })
+            .map(|(&cid, _)| cid)
+            .collect();
+        for cid in idle {
+            self.drop_conn(cid);
+        }
+    }
+
+    /// Send `EXIT` to every connected host, then collect every host
+    /// process, giving each up to 5 s to exit 0 before resorting to kill.
+    fn release_hosts(&mut self) {
+        let connected: Vec<u64> = self.hosts.iter().filter_map(|h| h.conn).collect();
+        for cid in connected {
+            self.send_to(cid, EXIT);
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for hidx in 0..self.hosts.len() {
+            if let Some(mut child) = self.hosts[hidx].child.take() {
+                let status = reap_child(&mut child, deadline);
+                self.count_exit(status);
+            }
+        }
+    }
+
+    fn count_exit(&mut self, status: Option<ExitStatus>) {
+        if status.is_some_and(|s| s.success()) {
+            self.stats.clean_exits += 1;
+        } else {
+            self.stats.worker_deaths += 1;
+        }
+    }
+
+    /// Send one framed payload to a connection; on failure the connection
+    /// is dropped (write deadline = slow-loris shed). Returns success.
+    fn send_to(&mut self, cid: u64, payload: &str) -> bool {
+        let Some(conn) = self.conns.get_mut(&cid) else {
+            return false;
+        };
+        if send_frame(&mut conn.w, payload).is_ok() {
+            return true;
+        }
+        self.drop_conn(cid);
+        false
+    }
+
+    /// Forget a connection. A worker host keeps its slot (the Gone event
+    /// or health check decides about respawn); a client just disappears —
+    /// its job keeps running and survives for a later re-`SUBMIT`.
+    fn drop_conn(&mut self, cid: u64) {
+        let Some(conn) = self.conns.remove(&cid) else {
+            return;
+        };
+        let _ = conn.w.shutdown(Shutdown::Both);
+        if let Role::Worker(hidx) = conn.role {
+            if self.hosts[hidx].conn == Some(cid) {
+                self.hosts[hidx].conn = None;
+                self.stats.worker_losses += 1;
+            }
+        }
+    }
+
+    /// Ensure `key` will be computed: no-op (counted as dedup) when it is
+    /// already done, pending, or in flight.
+    fn ensure_task(&mut self, key: CellKey) {
+        let scheduled = self.results.contains_key(&key)
+            || self.pending.iter().any(|t| t.key == key)
+            || self
+                .hosts
+                .iter()
+                .any(|h| h.busy.as_ref().is_some_and(|t| t.key == key));
+        if scheduled {
+            self.stats.cells_deduped += 1;
+            return;
+        }
+        self.pending.push(Task {
+            key,
+            attempt: 0,
+            due: Instant::now(),
+        });
+    }
+
+    /// Queue every cell of an open job (dedup included).
+    fn schedule_job(&mut self, jid: u64) {
+        let Some(job) = self.jobs.get(&jid).filter(|j| j.state == JobState::Open) else {
+            return;
+        };
+        let keys: Vec<CellKey> = SWEEP_COUNTS.iter().map(|&n| job.spec.cell_key(n)).collect();
+        for key in keys {
+            self.ensure_task(key);
+        }
+    }
+
+    /// If every cell of an open job is done, finish it: durable `QDONE`
+    /// first, then `JOBDONE` to its watchers.
+    fn maybe_finish_job(&mut self, jid: u64) {
+        let finished = self.jobs.get(&jid).is_some_and(|job| {
+            job.state == JobState::Open
+                && SWEEP_COUNTS
+                    .iter()
+                    .all(|&n| self.results.contains_key(&job.spec.cell_key(n)))
+        });
+        if !finished {
+            return;
+        }
+        self.append(&QRec::Done { id: jid });
+        self.jobs.get_mut(&jid).expect("checked above").state = JobState::Done;
+        self.stats.jobs_completed += 1;
+        self.notify_watchers(jid, &format!("JOBDONE {jid}"));
+    }
+
+    /// The open jobs that need the cell `key`.
+    fn jobs_needing(&self, key: &CellKey) -> Vec<u64> {
+        self.jobs
+            .values()
+            .filter(|j| j.state == JobState::Open && j.spec.cell_key(key.n) == *key)
+            .map(|j| j.id)
+            .collect()
+    }
+
+    /// Send a frame to every watcher of `jid`. Send failures drop those
+    /// connections (watchers are clients by construction).
+    fn notify_watchers(&mut self, jid: u64, payload: &str) {
+        let watchers: Vec<u64> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| matches!(c.role, Role::Client { job: Some(j) } if j == jid))
+            .map(|(&cid, _)| cid)
+            .collect();
+        for cid in watchers {
+            self.send_to(cid, payload);
+        }
+    }
+
+    /// One completed cell: journal it (one-shot: write-ahead, before it
+    /// counts), record it, stream `RES` to watchers, finish any job it
+    /// completes.
+    fn complete_cell(&mut self, key: CellKey, cell: Cell) {
+        if let Ledger::Journal(journal) = &self.ledger {
+            journal.record(key.n, &cell);
+        }
+        self.stats.cells_completed += 1;
+        self.quarantined.remove(&key);
+        let rec = Record::Cell {
+            key: key.clone(),
+            cell: cell.clone(),
+        }
+        .encode();
+        self.results.insert(key.clone(), cell);
+        let interested = self.jobs_needing(&key);
+        for &jid in &interested {
+            self.notify_watchers(jid, &format!("RES {jid} {rec}"));
+        }
+        for jid in interested {
+            self.maybe_finish_job(jid);
+        }
+    }
+
+    /// One failed attempt of a cell: retry with backoff, or — budget
+    /// exhausted — quarantine it and fail every open job that needs it.
+    fn fail_task(&mut self, task: Task, detail: &str) {
+        let used = task.attempt + 1;
+        if used < self.opts.serve.max_attempts {
+            self.stats.retries += 1;
+            self.pending.push(Task {
+                due: Instant::now() + self.opts.serve.backoff(task.key.n, task.attempt),
+                attempt: used,
+                key: task.key,
+            });
+            return;
+        }
+        self.stats.quarantined += 1;
+        let err = SimError::Quarantined {
+            item: task.key.n,
+            attempts: used,
+            detail: detail.to_string(),
+        };
+        let why = err.to_string();
+        let affected = self.jobs_needing(&task.key);
+        self.quarantined.insert(task.key, err);
+        for jid in affected {
+            self.append(&QRec::Fail {
+                id: jid,
+                why: why.clone(),
+            });
+            if let Some(j) = self.jobs.get_mut(&jid) {
+                j.state = JobState::Failed(why.clone());
+            }
+            self.stats.jobs_failed += 1;
+            self.notify_watchers(jid, &format!("JOBFAIL {jid} {why}"));
+        }
+    }
+
+    /// Collect host `hidx`'s process — killed at once when `kill` names
+    /// a policy reason, else given a moment to finish the exit already
+    /// under way — forget its connection, fail its in-flight task, and
+    /// respawn it while work can still come.
+    fn reap_host(&mut self, hidx: usize, kill: Option<&str>) {
+        let mut detail = kill.unwrap_or("worker host lost").to_string();
+        if let Some(mut child) = self.hosts[hidx].child.take() {
+            let grace = if kill.is_some() {
+                Duration::ZERO
+            } else {
+                Duration::from_secs(1)
+            };
+            let status = reap_child(&mut child, Instant::now() + grace);
+            if kill.is_none() {
+                self.count_exit(status);
+                let code = status
+                    .and_then(|s| s.code())
+                    .map_or("killed".to_string(), |c| format!("exit {c}"));
+                detail = format!("worker died mid-cell ({code})");
+            }
+        }
+        if let Some(cid) = self.hosts[hidx].conn.take() {
+            if let Some(c) = self.conns.remove(&cid) {
+                let _ = c.w.shutdown(Shutdown::Both);
+            }
+            self.stats.worker_losses += 1;
+        }
+        if let Some(task) = self.hosts[hidx].busy.take() {
+            if !self.draining {
+                self.fail_task(task, &detail);
+            }
+        }
+        // Foreign hosts are never replaced, and a one-shot sweep stops
+        // replacing hosts once no work is left.
+        let work_left = !self.pending.is_empty() || self.hosts.iter().any(|h| h.busy.is_some());
+        if self.hosts[hidx].pid != 0 && !self.draining && (work_left || !self.one_shot()) {
+            match self.spawn_host() {
+                Ok(h) => {
+                    self.hosts[hidx] = h;
+                    self.stats.respawns += 1;
+                }
+                Err(e) => eprintln!("tlpsim: serve: respawn failed: {e}"),
+            }
+        }
+    }
+
+    /// A connection vanished (EOF or socket error). Clients may vanish
+    /// freely: the job keeps running, and a reconnecting `SUBMIT` picks
+    /// the results back up. A worker host's loss reaps the host.
+    fn on_gone(&mut self, cid: u64) {
+        let Some(conn) = self.conns.remove(&cid) else {
+            return;
+        };
+        let _ = conn.w.shutdown(Shutdown::Both);
+        if let Role::Worker(hidx) = conn.role {
+            if self.hosts[hidx].conn == Some(cid) {
+                self.reap_host(hidx, None);
+            }
+        }
+    }
+
+    /// One intact frame from connection `cid`.
+    fn on_frame(&mut self, cid: u64, payload: &str) {
+        let Some(role) = self.conns.get(&cid).map(|c| c.role) else {
+            return;
+        };
+        match role {
+            Role::Worker(hidx) => self.worker_frame(hidx, payload),
+            // A worker's heartbeat squeezing in around its HELLO:
+            // harmless, ignore rather than mistake it for a client verb.
+            Role::Pending if payload.starts_with("HB ") => {}
+            Role::Pending if payload.starts_with("HELLO ") => {
+                self.hello(cid, &payload["HELLO ".len()..]);
+            }
+            Role::Pending | Role::Client { .. } => self.client_frame(cid, payload),
+        }
+    }
+
+    /// A worker host introducing itself with `HELLO <pid> <version>`.
+    fn hello(&mut self, cid: u64, rest: &str) {
+        let mut it = rest.split_whitespace();
+        let ids = match (it.next(), it.next(), it.next()) {
+            (Some(pid), Some(ver), None) => pid.parse::<u32>().ok().zip(ver.parse::<u32>().ok()),
+            _ => None,
+        };
+        let Some((pid, ver)) = ids else {
+            self.stats.rejected_frames += 1;
+            self.drop_conn(cid);
+            return;
+        };
+        if ver != PROTOCOL_VERSION {
+            eprintln!("tlpsim: serve: rejecting worker pid {pid} speaking protocol v{ver}");
+            self.drop_conn(cid);
+            return;
+        }
+        let hidx = match self
+            .hosts
+            .iter()
+            .position(|h| h.pid == pid && h.conn.is_none())
         {
-            let _ = writeln!(f, "{pid}");
+            Some(hidx) => hidx,
+            None => {
+                // An external worker host joining the pool: welcome, but
+                // never respawned.
+                self.hosts.push(WorkerHost {
+                    conn: None,
+                    child: None,
+                    pid: 0,
+                    busy: None,
+                    last_hb: Instant::now(),
+                    spawned_at: Instant::now(),
+                });
+                self.hosts.len() - 1
+            }
+        };
+        self.hosts[hidx].conn = Some(cid);
+        self.hosts[hidx].last_hb = Instant::now();
+        if let Some(c) = self.conns.get_mut(&cid) {
+            c.role = Role::Worker(hidx);
         }
     }
-    Ok(WorkerHost {
-        conn: None,
-        child: Some(child),
-        pid,
-        busy: None,
-        last_hb: Instant::now(),
-        spawned_at: Instant::now(),
-    })
+
+    /// One intact frame from worker host `hidx`.
+    fn worker_frame(&mut self, hidx: usize, payload: &str) {
+        self.hosts[hidx].last_hb = Instant::now();
+        if payload.starts_with("HB ") {
+            return;
+        }
+        if payload.starts_with("DONE ") {
+            let expected = self.hosts[hidx]
+                .busy
+                .as_ref()
+                .map(|t| (t.key.clone(), t.attempt));
+            match decode_done(payload).map(|(a, rec)| (a, Record::decode(rec))) {
+                Some((attempt, Ok(Record::Cell { key, cell })))
+                    if expected
+                        .as_ref()
+                        .is_some_and(|(k, a)| *k == key && *a == attempt) =>
+                {
+                    self.hosts[hidx].busy = None;
+                    self.complete_cell(key, cell);
+                }
+                Some((attempt, Ok(Record::Cell { key, .. })))
+                    if expected
+                        .as_ref()
+                        .is_some_and(|(k, a)| *k == key && attempt < *a) =>
+                {
+                    // A stale frame from an earlier attempt of the
+                    // *same* cell, leaked past its attempt's failure:
+                    // reject it, keep waiting for the live attempt.
+                    self.stats.rejected_frames += 1;
+                }
+                _ => {
+                    // Intact frame, wrong shape or wrong cell: never
+                    // trust it, and treat the host's state as unknown —
+                    // the in-flight attempt fails rather than hangs to
+                    // its deadline.
+                    self.stats.rejected_frames += 1;
+                    if let Some(task) = self.hosts[hidx].busy.take() {
+                        if !self.draining {
+                            self.fail_task(task, "worker returned a foreign or malformed cell");
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        if let Some((n, attempt, was_interrupted, detail)) = decode_err(payload) {
+            let matches_busy = self.hosts[hidx]
+                .busy
+                .as_ref()
+                .is_some_and(|t| t.key.n == n && t.attempt == attempt);
+            if !matches_busy {
+                self.stats.rejected_frames += 1;
+                return;
+            }
+            let task = self.hosts[hidx].busy.take().expect("matched above");
+            // A cooperative drain stopped the cell: nothing to retry now
+            // (it checkpointed, or the open job/journal re-queues it).
+            if !(was_interrupted && self.draining) {
+                self.fail_task(task, &detail);
+            }
+            return;
+        }
+        self.stats.rejected_frames += 1;
+    }
+
+    /// A client verb (`SUBMIT`/`STATUS`/`CANCEL`) from `cid`.
+    fn client_frame(&mut self, cid: u64, payload: &str) {
+        if self.one_shot() {
+            // A one-shot sweep serves its own worker hosts, no clients.
+            self.stats.rejected_frames += 1;
+            self.drop_conn(cid);
+            return;
+        }
+        if payload == "STATUS" || payload.starts_with("CANCEL ") {
+            if let Some(c) = self.conns.get_mut(&cid) {
+                if matches!(c.role, Role::Pending) {
+                    c.role = Role::Client { job: None };
+                }
+            }
+        }
+        if payload == "STATUS" {
+            let open = self
+                .jobs
+                .values()
+                .filter(|j| j.state == JobState::Open)
+                .count();
+            let json = self.stats.snapshot(open).to_json();
+            self.send_to(cid, &format!("STATS {json}"));
+            return;
+        }
+        if let Some(token) = payload.strip_prefix("CANCEL ") {
+            let token = token.trim();
+            let found = self.jobs.values().find(|j| j.token == token).map(|j| j.id);
+            let reply = match found {
+                Some(jid) if self.jobs[&jid].state == JobState::Open => {
+                    self.append(&QRec::Cancel { id: jid });
+                    self.jobs.get_mut(&jid).expect("found above").state = JobState::Cancelled;
+                    self.stats.jobs_cancelled += 1;
+                    self.notify_watchers(jid, &format!("JOBFAIL {jid} cancelled"));
+                    format!("CANCELLED {jid}")
+                }
+                Some(jid) => format!("CANCELLED {jid}"),
+                None => "NOJOB".to_string(),
+            };
+            self.send_to(cid, &reply);
+            return;
+        }
+        if let Some(rest) = payload.strip_prefix("SUBMIT ") {
+            self.submit(cid, rest);
+            return;
+        }
+        self.stats.rejected_frames += 1;
+        self.drop_conn(cid);
+    }
+
+    /// `SUBMIT <token> <header>`: admit (or re-attach to) the job, then
+    /// replay what is already known — completed cells, then the terminal
+    /// state if the job is already settled.
+    fn submit(&mut self, cid: u64, rest: &str) {
+        let Some((token, header)) = rest.split_once(' ') else {
+            self.send_to(cid, "REJECT SUBMIT needs a token and a sweep header");
+            return;
+        };
+        let spec = match SweepSpec::parse_header(header) {
+            Ok(s) => s,
+            Err(why) => {
+                self.send_to(cid, &format!("REJECT {why}"));
+                return;
+            }
+        };
+        let scale = self.opts.scale;
+        let refusal = if spec.scale != scale {
+            Some(format!(
+                "REJECT daemon serves scale {},{},{},{} only",
+                scale.warmup, scale.budget, scale.parsec_phase, scale.seed
+            ))
+        } else if configs::by_name(&spec.design).is_none() {
+            Some(format!("REJECT unknown design {}", spec.design))
+        } else if self.draining {
+            Some("REJECT daemon is draining".to_string())
+        } else {
+            None
+        };
+        if let Some(refusal) = refusal {
+            self.send_to(cid, &refusal);
+            return;
+        }
+
+        // Idempotent by token: a resubmit attaches to the existing job.
+        let existing = self.jobs.values().find(|j| j.token == token).map(|j| j.id);
+        let jid = match existing {
+            Some(jid) => jid,
+            None => {
+                let open = self
+                    .jobs
+                    .values()
+                    .filter(|j| j.state == JobState::Open)
+                    .count();
+                if open >= self.opts.queue_depth {
+                    self.stats.jobs_shed += 1;
+                    self.send_to(cid, &format!("SHED {open}"));
+                    return;
+                }
+                let jid = self.next_job_id;
+                self.next_job_id += 1;
+                // Durable before visible: QJOB hits the disk (fsync)
+                // before the client ever sees ACCEPTED.
+                self.append(&QRec::Job {
+                    id: jid,
+                    token: token.to_string(),
+                    header: spec.header_line(),
+                });
+                let job = Job {
+                    id: jid,
+                    token: token.to_string(),
+                    spec,
+                    state: JobState::Open,
+                };
+                self.jobs.insert(jid, job);
+                self.stats.jobs_submitted += 1;
+                self.schedule_job(jid);
+                jid
+            }
+        };
+        if let Some(c) = self.conns.get_mut(&cid) {
+            c.role = Role::Client { job: Some(jid) };
+        }
+        if !self.send_to(cid, &format!("ACCEPTED {jid}")) {
+            return;
+        }
+        let job_spec = self.jobs[&jid].spec.clone();
+        for &n in SWEEP_COUNTS.iter() {
+            let key = job_spec.cell_key(n);
+            let Some(cell) = self.results.get(&key).cloned() else {
+                continue;
+            };
+            let rec = Record::Cell { key, cell }.encode();
+            if !self.send_to(cid, &format!("RES {jid} {rec}")) {
+                return;
+            }
+        }
+        self.maybe_finish_job(jid);
+        let terminal = match &self.jobs[&jid].state {
+            JobState::Open => return,
+            JobState::Done => format!("JOBDONE {jid}"),
+            JobState::Failed(why) => format!("JOBFAIL {jid} {why}"),
+            JobState::Cancelled => format!("JOBFAIL {jid} cancelled"),
+        };
+        self.send_to(cid, &terminal);
+    }
 }
 
 /// Run the daemon until a graceful drain. See the module docs for the
-/// architecture; the body is a single supervisor thread owning all
-/// state, fed by one mpsc channel from the accept thread and one
-/// reader thread per connection — the event-loop idiom of
-/// [`crate::serve::serve_sweep`], with connections where slots were.
+/// architecture.
 ///
 /// # Errors
 /// [`SimError::InvalidConfig`] when the listener cannot bind, the
 /// queue/cache cannot be opened, or no worker host can ever be
 /// spawned. Everything after startup is policy, not error.
 pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
-    let inv = |why: String| SimError::InvalidConfig(why);
-
     // Durable state first: replay the queue and the result cache.
     let (queue, qrecs, qreplay) = QueueFile::open(&opts.queue_path, opts.scale)?;
     let mut jobs: BTreeMap<u64, Job> = BTreeMap::new();
@@ -719,15 +1490,14 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
             QRec::Job { id, token, header } => {
                 // Validated at decode time; a second parse cannot fail.
                 if let Ok(spec) = SweepSpec::parse_header(&header) {
-                    jobs.insert(
+                    let state = JobState::Open;
+                    let job = Job {
                         id,
-                        Job {
-                            id,
-                            token,
-                            spec,
-                            state: JobState::Open,
-                        },
-                    );
+                        token,
+                        spec,
+                        state,
+                    };
+                    jobs.insert(id, job);
                 }
             }
             QRec::Done { id } => {
@@ -747,41 +1517,29 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
             }
         }
     }
-    let mut next_job_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
 
     // The result cache: replay what worker hosts have already made
     // durable, then drop the handle — the daemon never writes results.
-    let mut results: HashMap<CellKey, Cell> = HashMap::new();
-    {
-        let (cache, records, _report) =
-            DiskCache::open(opts.scale, &opts.cache_path).map_err(|e| {
-                inv(format!(
-                    "cannot open cache {}: {e}",
-                    opts.cache_path.display()
-                ))
-            })?;
-        drop(cache);
-        for rec in records {
-            if let Record::Cell { key, cell } = rec {
-                results.insert(key, cell);
-            }
-        }
-    }
+    let (cache, records, _report) = DiskCache::open(opts.scale, &opts.cache_path).map_err(|e| {
+        SimError::InvalidConfig(format!(
+            "cannot open cache {}: {e}",
+            opts.cache_path.display()
+        ))
+    })?;
+    drop(cache);
+    let results: HashMap<CellKey, Cell> = records
+        .into_iter()
+        .filter_map(|rec| match rec {
+            Record::Cell { key, cell } => Some((key, cell)),
+            _ => None,
+        })
+        .collect();
 
-    let listener = TcpListener::bind(&opts.addr)
-        .map_err(|e| inv(format!("cannot bind {}: {e}", opts.addr)))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| inv(format!("no local addr: {e}")))?;
-    // Workers connect back over loopback when the bind was a wildcard.
-    let connect_addr = if local.ip().is_unspecified() {
-        format!("127.0.0.1:{}", local.port())
-    } else {
-        local.to_string()
-    };
+    let (listener, connect_addr) = bind(&opts.addr)?;
     if let Some(af) = &opts.addr_file {
-        std::fs::write(af, format!("{connect_addr}\n"))
-            .map_err(|e| inv(format!("cannot write addr file {}: {e}", af.display())))?;
+        std::fs::write(af, format!("{connect_addr}\n")).map_err(|e| {
+            SimError::InvalidConfig(format!("cannot write addr file {}: {e}", af.display()))
+        })?;
     }
     eprintln!(
         "tlpsim: daemon listening on {connect_addr} (queue {}, cache {}, {} replayed jobs{})",
@@ -795,989 +1553,65 @@ pub fn run_daemon(opts: &DaemonOptions) -> Result<DaemonOutcome, SimError> {
         },
     );
 
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = channel::<Ev>();
-
-    // Accept thread: blocks in accept(), so a new connection is served
-    // at once; the drain sets the shutdown flag and then wakes it with
-    // one loopback connect.
-    let accept = {
-        let tx = tx.clone();
-        let shutdown = Arc::clone(&shutdown);
-        let io_timeout = opts.io_timeout;
-        std::thread::spawn(move || {
-            let mut next_conn: u64 = 1;
-            loop {
-                let accepted = listener.accept();
-                if shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                match accepted {
-                    Ok((stream, _peer)) => {
-                        let id = next_conn;
-                        next_conn += 1;
-                        let _ = stream.set_nodelay(true);
-                        let Ok(w) = stream.try_clone() else { continue };
-                        // The write deadline is the slow-loris bound: a
-                        // peer that will not drain our frames gets its
-                        // connection dropped, not our event loop.
-                        let _ = w.set_write_timeout(Some(io_timeout));
-                        if tx.send(Ev::Open(id, w)).is_err() {
-                            return;
-                        }
-                        let tx = tx.clone();
-                        let shutdown = Arc::clone(&shutdown);
-                        std::thread::spawn(move || reader_loop(id, stream, tx, shutdown));
-                    }
-                    // Out of descriptors and the like: back off briefly.
-                    Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                }
-            }
-        })
-    };
-
-    // Worker host pool.
-    let mut hosts: Vec<WorkerHost> = Vec::new();
-    for _ in 0..opts.workers.max(1) {
-        hosts.push(spawn_host(opts, &connect_addr)?);
-    }
-
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut pending: Vec<PendingTask> = Vec::new();
-    let mut stats = DaemonStats::default();
-    let mut draining = false;
-    let mut last_tick = Instant::now();
-
+    let mut core = Core::new(opts, Ledger::Queue(queue), connect_addr);
+    core.next_job_id = jobs.keys().next_back().map_or(1, |&id| id + 1);
+    core.jobs = jobs;
+    core.results = results;
     // Jobs replayed as Open re-enter scheduling (their finished cells
     // come straight from the replayed cache — zero recompute).
-    let open_ids: Vec<u64> = jobs
+    let open_ids: Vec<u64> = core
+        .jobs
         .values()
         .filter(|j| j.state == JobState::Open)
         .map(|j| j.id)
         .collect();
     for id in open_ids {
-        schedule_job(id, &mut jobs, &results, &hosts, &mut pending, &mut stats);
-        maybe_finish_job(id, &queue, &mut jobs, &results, &mut conns, &mut stats);
+        core.schedule_job(id);
+        core.maybe_finish_job(id);
     }
-
-    loop {
-        if interrupt::requested() && !draining {
-            draining = true;
-            eprintln!(
-                "tlpsim: daemon draining (queue persists at {})",
-                opts.queue_path.display()
-            );
-            let mut idle_conns = Vec::new();
-            for host in &hosts {
-                if host.busy.is_some() {
-                    // Cooperative stop: the host's interrupt flag makes
-                    // the in-flight cell return Interrupted.
-                    interrupt::send_signal(host.pid, interrupt::SIGTERM);
-                } else if let Some(cid) = host.conn {
-                    idle_conns.push(cid);
-                }
-            }
-            for cid in idle_conns {
-                send_to(
-                    cid,
-                    &Request::Exit.encode(),
-                    &mut conns,
-                    &mut hosts,
-                    &mut stats,
-                );
-            }
-        }
-
-        // Dispatch ready tasks to idle connected hosts.
-        if !draining {
-            let now = Instant::now();
-            for hidx in 0..hosts.len() {
-                if hosts[hidx].busy.is_some() {
-                    continue;
-                }
-                let Some(cid) = hosts[hidx].conn else {
-                    continue;
-                };
-                let Some(pos) = pending.iter().position(|t| t.ready <= now) else {
-                    break;
-                };
-                let task = pending.swap_remove(pos);
-                let last = task.attempt + 1 >= opts.max_attempts;
-                let header = spec_for_key(&task.key, opts.scale).header_line();
-                let payload = encode_runs(task.key.n, task.attempt, last, &header);
-                if send_to(cid, &payload, &mut conns, &mut hosts, &mut stats) {
-                    stats.dispatched += 1;
-                    hosts[hidx].busy = Some(ActiveTask {
-                        deadline: now + opts.cell_deadline(task.key.n),
-                        key: task.key,
-                        attempt: task.attempt,
-                    });
-                } else {
-                    // Connection died under us: requeue untouched, the
-                    // Gone event will reap the host.
-                    pending.push(task);
-                }
-            }
-        }
-
-        if draining && !hosts.iter().any(|h| h.busy.is_some()) {
-            break;
-        }
-
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Err(RecvTimeoutError::Timeout | RecvTimeoutError::Disconnected) => {}
-            Ok(Ev::Open(id, w)) => {
-                stats.conns_opened += 1;
-                conns.insert(
-                    id,
-                    Conn {
-                        w,
-                        role: Role::Pending,
-                        opened: Instant::now(),
-                    },
-                );
-            }
-            Ok(Ev::Bad(_id, _e)) => {
-                // Torn/oversized frame: the decoder already resynced;
-                // count it and keep the connection.
-                stats.rejected_frames += 1;
-            }
-            Ok(Ev::Gone(id)) => {
-                on_gone(
-                    id,
-                    opts,
-                    &connect_addr,
-                    &queue,
-                    &mut conns,
-                    &mut hosts,
-                    &mut jobs,
-                    &results,
-                    &mut pending,
-                    &mut stats,
-                    draining,
-                );
-            }
-            Ok(Ev::Frame(id, payload)) => {
-                on_frame(
-                    id,
-                    &payload,
-                    opts,
-                    &queue,
-                    &mut next_job_id,
-                    &mut conns,
-                    &mut hosts,
-                    &mut jobs,
-                    &mut results,
-                    &mut pending,
-                    &mut stats,
-                    draining,
-                );
-            }
-        }
-
-        // Periodic: worker health, pending-connection deadlines, TICKs.
-        let now = Instant::now();
-        for hidx in 0..hosts.len() {
-            let host = &mut hosts[hidx];
-            if host.conn.is_some() {
-                let hb_lost = now.duration_since(host.last_hb) > opts.hb_timeout;
-                let timed_out = host.busy.as_ref().is_some_and(|t| now >= t.deadline);
-                if !hb_lost && !timed_out {
-                    continue;
-                }
-                if hb_lost {
-                    stats.hb_kills += 1;
-                } else {
-                    stats.timeout_kills += 1;
-                }
-                reap_host(
-                    hidx,
-                    opts,
-                    &connect_addr,
-                    &queue,
-                    &mut conns,
-                    &mut hosts,
-                    &mut jobs,
-                    &results,
-                    &mut pending,
-                    &mut stats,
-                    draining,
-                );
-            } else if let Some(child) = host.child.as_mut() {
-                // Spawned but not yet connected: reap a child that died
-                // on the doorstep, or one that never phones home.
-                let died = matches!(child.try_wait(), Ok(Some(_)));
-                let overdue = now.duration_since(host.spawned_at) > opts.hb_timeout * 4;
-                if died || overdue {
-                    stats.worker_losses += 1;
-                    reap_host(
-                        hidx,
-                        opts,
-                        &connect_addr,
-                        &queue,
-                        &mut conns,
-                        &mut hosts,
-                        &mut jobs,
-                        &results,
-                        &mut pending,
-                        &mut stats,
-                        draining,
-                    );
-                }
-            }
-        }
-        if now.duration_since(last_tick) >= opts.hb_interval {
-            last_tick = now;
-            let watchers: Vec<(u64, u64)> = conns
-                .iter()
-                .filter_map(|(&cid, c)| match c.role {
-                    Role::Client { job: Some(jid) } => Some((cid, jid)),
-                    _ => None,
-                })
-                .collect();
-            for (cid, jid) in watchers {
-                if jobs.get(&jid).is_some_and(|j| j.state == JobState::Open) {
-                    send_to(
-                        cid,
-                        &format!("TICK {jid}"),
-                        &mut conns,
-                        &mut hosts,
-                        &mut stats,
-                    );
-                }
-            }
-            // A connection that never identified itself within the i/o
-            // deadline is a slow-loris: shed it.
-            let idle: Vec<u64> = conns
-                .iter()
-                .filter(|(_, c)| {
-                    matches!(c.role, Role::Pending)
-                        && now.duration_since(c.opened) > opts.io_timeout
-                })
-                .map(|(&cid, _)| cid)
-                .collect();
-            for cid in idle {
-                drop_conn(cid, &mut conns, &mut hosts, &mut stats);
-            }
-        }
-    }
-
-    // Drain shutdown: stop the accept/reader threads, release hosts.
-    shutdown.store(true, Ordering::Relaxed);
-    let connected: Vec<u64> = hosts.iter().filter_map(|h| h.conn).collect();
-    for cid in connected {
-        send_to(
-            cid,
-            &Request::Exit.encode(),
-            &mut conns,
-            &mut hosts,
-            &mut stats,
-        );
-    }
-    let deadline = Instant::now() + Duration::from_secs(5);
-    for host in &mut hosts {
-        let Some(child) = host.child.as_mut() else {
-            continue;
-        };
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => {
-                    host.child = None;
-                    break;
-                }
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    host.child = None;
-                    break;
-                }
-            }
-        }
-    }
-    // The accept thread sees the flag once accept() returns. If the
-    // wake-up connect fails it stays blocked, and process exit ends it.
-    let wake = connect_addr
-        .parse::<std::net::SocketAddr>()
-        .ok()
-        .and_then(|a| std::net::TcpStream::connect_timeout(&a, Duration::from_secs(1)).ok());
-    if wake.is_some() {
-        let _ = accept.join();
-    }
-
-    let open_jobs = jobs.values().filter(|j| j.state == JobState::Open).count();
+    core.run(listener, opts.serve.workers.max(1))?;
+    let open_jobs = core
+        .jobs
+        .values()
+        .filter(|j| j.state == JobState::Open)
+        .count();
     Ok(DaemonOutcome {
-        interrupted: draining,
-        stats,
+        interrupted: core.draining,
+        stats: core.stats,
         open_jobs,
     })
 }
 
-/// Send one framed payload to a connection; on failure the connection
-/// is dropped (write deadline = slow-loris shed). Returns success.
-fn send_to(
-    cid: u64,
-    payload: &str,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut [WorkerHost],
-    stats: &mut DaemonStats,
-) -> bool {
-    let Some(conn) = conns.get_mut(&cid) else {
-        return false;
-    };
-    if send_frame(&mut conn.w, payload).is_ok() {
-        return true;
-    }
-    drop_conn(cid, conns, hosts, stats);
-    false
-}
-
-/// Forget a connection. A worker host keeps its slot (the Gone event
-/// or health check decides about respawn); a client just disappears —
-/// its job keeps running and survives for a later re-`SUBMIT`.
-fn drop_conn(
-    cid: u64,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut [WorkerHost],
-    stats: &mut DaemonStats,
-) {
-    let Some(conn) = conns.remove(&cid) else {
-        return;
-    };
-    let _ = conn.w.shutdown(std::net::Shutdown::Both);
-    if let Role::Worker(hidx) = conn.role {
-        if let Some(host) = hosts.get_mut(hidx) {
-            if host.conn == Some(cid) {
-                host.conn = None;
-                stats.worker_losses += 1;
-            }
-        }
-    }
-}
-
-/// Ensure `key` will be computed: no-op (counted as dedup) when it is
-/// already cached, pending, or in flight.
-fn ensure_task(
-    key: &CellKey,
-    results: &HashMap<CellKey, Cell>,
-    hosts: &[WorkerHost],
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-) {
-    if results.contains_key(key)
-        || pending.iter().any(|t| t.key == *key)
-        || hosts
-            .iter()
-            .any(|h| h.busy.as_ref().is_some_and(|t| t.key == *key))
-    {
-        stats.cells_deduped += 1;
-        return;
-    }
-    pending.push(PendingTask {
-        key: key.clone(),
-        attempt: 0,
-        ready: Instant::now(),
-    });
-}
-
-/// Queue every cell of a job (dedup included).
-fn schedule_job(
-    jid: u64,
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &HashMap<CellKey, Cell>,
-    hosts: &[WorkerHost],
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-) {
-    let Some(job) = jobs.get(&jid) else { return };
-    if job.state != JobState::Open {
-        return;
-    }
-    let keys: Vec<CellKey> = SWEEP_COUNTS.iter().map(|&n| job.spec.cell_key(n)).collect();
-    for key in &keys {
-        ensure_task(key, results, hosts, pending, stats);
-    }
-}
-
-/// If every cell of an open job is in `results`, finish it: durable
-/// `QDONE` first, then `JOBDONE` to its watchers.
-fn maybe_finish_job(
-    jid: u64,
-    queue: &QueueFile,
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &HashMap<CellKey, Cell>,
-    conns: &mut HashMap<u64, Conn>,
-    stats: &mut DaemonStats,
-) {
-    let Some(job) = jobs.get(&jid) else { return };
-    if job.state != JobState::Open {
-        return;
-    }
-    if !SWEEP_COUNTS
-        .iter()
-        .all(|&n| results.contains_key(&job.spec.cell_key(n)))
-    {
-        return;
-    }
-    queue.append(&QRec::Done { id: jid });
-    jobs.get_mut(&jid).expect("checked above").state = JobState::Done;
-    stats.jobs_completed += 1;
-    notify_watchers(jid, &format!("JOBDONE {jid}"), conns);
-}
-
-/// Send a terminal frame to every watcher of `jid`. Send failures
-/// drop those connections; `hosts` is not needed because watchers are
-/// clients by construction.
-fn notify_watchers(jid: u64, payload: &str, conns: &mut HashMap<u64, Conn>) {
-    let watchers: Vec<u64> = conns
-        .iter()
-        .filter(|(_, c)| matches!(c.role, Role::Client { job: Some(j) } if j == jid))
-        .map(|(&cid, _)| cid)
+/// Supervise one sweep to completion — the core of
+/// [`crate::serve::serve_sweep`]: `journal` is the ledger, the cells in
+/// `done` are never dispatched, and `opts.serve.workers` hosts compute
+/// through `opts.cache_path` at `opts.scale` (the journal's).
+pub(crate) fn supervise_sweep(
+    opts: &DaemonOptions,
+    journal: &Journal,
+    done: BTreeMap<usize, Cell>,
+) -> Result<ServeOutcome, SimError> {
+    let spec = journal.spec().clone();
+    let (listener, connect_addr) = bind(&opts.addr)?;
+    let mut core = Core::new(opts, Ledger::Journal(journal), connect_addr);
+    core.results = done
+        .into_iter()
+        .map(|(n, cell)| (spec.cell_key(n), cell))
         .collect();
-    for cid in watchers {
-        let ok = conns
-            .get_mut(&cid)
-            .is_some_and(|c| send_frame(&mut c.w, payload).is_ok());
-        if !ok {
-            if let Some(c) = conns.remove(&cid) {
-                let _ = c.w.shutdown(std::net::Shutdown::Both);
-            }
-        }
+    for &n in SWEEP_COUNTS.iter() {
+        core.ensure_task(spec.cell_key(n));
     }
-}
-
-/// One completed cell: record it, stream `RES` to watchers, finish
-/// any job it completes.
-#[allow(clippy::too_many_arguments)]
-fn complete_cell(
-    key: CellKey,
-    cell: Cell,
-    queue: &QueueFile,
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &mut HashMap<CellKey, Cell>,
-    conns: &mut HashMap<u64, Conn>,
-    stats: &mut DaemonStats,
-) {
-    stats.cells_completed += 1;
-    let rec = Record::Cell {
-        key: key.clone(),
-        cell: cell.clone(),
-    };
-    let payload_tail = rec.encode();
-    results.insert(key.clone(), cell);
-    let interested: Vec<u64> = jobs
-        .values()
-        .filter(|j| j.state == JobState::Open && j.spec.cell_key(key.n) == key)
-        .map(|j| j.id)
-        .collect();
-    for jid in &interested {
-        notify_watchers(*jid, &format!("RES {jid} {payload_tail}"), conns);
-    }
-    for jid in interested {
-        maybe_finish_job(jid, queue, jobs, results, conns, stats);
-    }
-}
-
-/// One failed attempt of a cell task: retry with backoff, or — budget
-/// exhausted — fail every open job that needs it.
-#[allow(clippy::too_many_arguments)]
-fn fail_task(
-    key: CellKey,
-    attempt: u32,
-    detail: &str,
-    opts: &DaemonOptions,
-    queue: &QueueFile,
-    jobs: &mut BTreeMap<u64, Job>,
-    pending: &mut Vec<PendingTask>,
-    conns: &mut HashMap<u64, Conn>,
-    stats: &mut DaemonStats,
-) {
-    let used = attempt + 1;
-    if used < opts.max_attempts {
-        stats.retries += 1;
-        pending.push(PendingTask {
-            ready: Instant::now() + opts.backoff(key.n, attempt),
-            key,
-            attempt: attempt + 1,
-        });
-        return;
-    }
-    stats.quarantined += 1;
-    let why = format!(
-        "cell n={} quarantined after {used} failed attempts (last: {detail})",
-        key.n
-    );
-    let affected: Vec<u64> = jobs
-        .values()
-        .filter(|j| j.state == JobState::Open && j.spec.cell_key(key.n) == key)
-        .map(|j| j.id)
-        .collect();
-    for jid in affected {
-        queue.append(&QRec::Fail {
-            id: jid,
-            why: why.clone(),
-        });
-        if let Some(j) = jobs.get_mut(&jid) {
-            j.state = JobState::Failed(why.clone());
-        }
-        stats.jobs_failed += 1;
-        notify_watchers(jid, &format!("JOBFAIL {jid} {why}"), conns);
-    }
-}
-
-/// Kill and forget host `hidx`'s process+connection, fail its
-/// in-flight task, respawn when appropriate.
-#[allow(clippy::too_many_arguments)]
-fn reap_host(
-    hidx: usize,
-    opts: &DaemonOptions,
-    connect_addr: &str,
-    queue: &QueueFile,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut [WorkerHost],
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &HashMap<CellKey, Cell>,
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-    draining: bool,
-) {
-    let _ = results; // reserved: a future reap could re-check the cache
-    if let Some(mut child) = hosts[hidx].child.take() {
-        let _ = child.kill();
-        let _ = child.wait();
-    }
-    if let Some(cid) = hosts[hidx].conn.take() {
-        if let Some(c) = conns.remove(&cid) {
-            let _ = c.w.shutdown(std::net::Shutdown::Both);
-        }
-        stats.worker_losses += 1;
-    }
-    if let Some(task) = hosts[hidx].busy.take() {
-        if !draining {
-            fail_task(
-                task.key,
-                task.attempt,
-                "worker host lost (killed or died mid-cell)",
-                opts,
-                queue,
-                jobs,
-                pending,
-                conns,
-                stats,
-            );
-        }
-    }
-    let daemon_spawned = hosts[hidx].pid != 0;
-    if daemon_spawned && !draining {
-        match spawn_host(opts, connect_addr) {
-            Ok(h) => {
-                hosts[hidx] = h;
-                stats.respawns += 1;
-            }
-            Err(e) => eprintln!("tlpsim: daemon: respawn failed: {e}"),
-        }
-    }
-}
-
-/// A connection vanished (EOF or socket error).
-#[allow(clippy::too_many_arguments)]
-fn on_gone(
-    cid: u64,
-    opts: &DaemonOptions,
-    connect_addr: &str,
-    queue: &QueueFile,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut [WorkerHost],
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &HashMap<CellKey, Cell>,
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-    draining: bool,
-) {
-    let Some(conn) = conns.remove(&cid) else {
-        return;
-    };
-    let _ = conn.w.shutdown(std::net::Shutdown::Both);
-    match conn.role {
-        Role::Worker(hidx) => {
-            if hosts.get(hidx).is_some_and(|h| h.conn == Some(cid)) {
-                hosts[hidx].conn = None;
-                reap_host(
-                    hidx,
-                    opts,
-                    connect_addr,
-                    queue,
-                    conns,
-                    hosts,
-                    jobs,
-                    results,
-                    pending,
-                    stats,
-                    draining,
-                );
-            }
-        }
-        Role::Client { .. } | Role::Pending => {
-            // Clients may vanish freely: the job keeps running, the
-            // reconnect re-`SUBMIT` picks the results back up.
-        }
-    }
-}
-
-/// One intact frame from connection `cid`.
-#[allow(clippy::too_many_arguments)]
-fn on_frame(
-    cid: u64,
-    payload: &str,
-    opts: &DaemonOptions,
-    queue: &QueueFile,
-    next_job_id: &mut u64,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut Vec<WorkerHost>,
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &mut HashMap<CellKey, Cell>,
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-    draining: bool,
-) {
-    let role_is_pending = matches!(conns.get(&cid).map(|c| &c.role), Some(Role::Pending));
-    if role_is_pending {
-        if payload.starts_with("HB ") {
-            // A worker's heartbeat squeezing in around its HELLO:
-            // harmless, ignore rather than mistake it for a client verb.
-            return;
-        }
-        if let Some(rest) = payload.strip_prefix("HELLO ") {
-            // A worker host introducing itself.
-            let mut it = rest.split_whitespace();
-            let (Some(pid), Some(ver), None) = (it.next(), it.next(), it.next()) else {
-                stats.rejected_frames += 1;
-                drop_conn(cid, conns, hosts, stats);
-                return;
-            };
-            let (Ok(pid), Ok(ver)) = (pid.parse::<u32>(), ver.parse::<u32>()) else {
-                stats.rejected_frames += 1;
-                drop_conn(cid, conns, hosts, stats);
-                return;
-            };
-            if ver != PROTOCOL_VERSION {
-                eprintln!("tlpsim: daemon: rejecting worker pid {pid} speaking protocol v{ver}");
-                drop_conn(cid, conns, hosts, stats);
-                return;
-            }
-            let hidx = hosts
-                .iter()
-                .position(|h| h.pid == pid && h.conn.is_none())
-                .unwrap_or_else(|| {
-                    // An external worker host joining the pool: welcome,
-                    // but never respawned (pid 0 marks it foreign).
-                    hosts.push(WorkerHost {
-                        conn: None,
-                        child: None,
-                        pid: 0,
-                        busy: None,
-                        last_hb: Instant::now(),
-                        spawned_at: Instant::now(),
-                    });
-                    hosts.len() - 1
-                });
-            hosts[hidx].conn = Some(cid);
-            hosts[hidx].last_hb = Instant::now();
-            if let Some(c) = conns.get_mut(&cid) {
-                c.role = Role::Worker(hidx);
-            }
-            return;
-        }
-        // Otherwise it must open as a client verb; fall through.
-    }
-
-    match conns.get(&cid).map(|c| &c.role) {
-        Some(Role::Worker(hidx)) => {
-            let hidx = *hidx;
-            hosts[hidx].last_hb = Instant::now();
-            if payload.starts_with("HB ") {
-                return;
-            }
-            if payload.starts_with("DONE ") {
-                let expected = hosts[hidx]
-                    .busy
-                    .as_ref()
-                    .map(|t| (t.key.clone(), t.attempt));
-                match decode_done(payload).map(|(a, rec)| (a, Record::decode(rec))) {
-                    Some((attempt, Ok(Record::Cell { key, cell })))
-                        if expected
-                            .as_ref()
-                            .is_some_and(|(k, a)| *k == key && *a == attempt) =>
-                    {
-                        hosts[hidx].busy = None;
-                        complete_cell(key, cell, queue, jobs, results, conns, stats);
-                    }
-                    Some((attempt, Ok(Record::Cell { key, .. })))
-                        if expected
-                            .as_ref()
-                            .is_some_and(|(k, a)| *k == key && attempt < *a) =>
-                    {
-                        // Stale frame from an earlier attempt (the
-                        // serve.rs race, network edition): reject it,
-                        // keep waiting for the live attempt.
-                        stats.rejected_frames += 1;
-                    }
-                    _ => {
-                        stats.rejected_frames += 1;
-                        if let Some(task) = hosts[hidx].busy.take() {
-                            if !draining {
-                                fail_task(
-                                    task.key,
-                                    task.attempt,
-                                    "worker returned a foreign or malformed cell",
-                                    opts,
-                                    queue,
-                                    jobs,
-                                    pending,
-                                    conns,
-                                    stats,
-                                );
-                            }
-                        }
-                    }
-                }
-                return;
-            }
-            if let Some((n, attempt, was_interrupted, detail)) = decode_err(payload) {
-                let matches_busy = hosts[hidx]
-                    .busy
-                    .as_ref()
-                    .is_some_and(|t| t.key.n == n && t.attempt == attempt);
-                if !matches_busy {
-                    stats.rejected_frames += 1;
-                    return;
-                }
-                let task = hosts[hidx].busy.take().expect("matched above");
-                if was_interrupted && draining {
-                    // Cooperative drain: nothing to retry now; the task
-                    // re-queues at next startup via the open job.
-                } else {
-                    fail_task(
-                        task.key,
-                        task.attempt,
-                        &detail,
-                        opts,
-                        queue,
-                        jobs,
-                        pending,
-                        conns,
-                        stats,
-                    );
-                }
-                return;
-            }
-            stats.rejected_frames += 1;
-        }
-        Some(Role::Client { .. } | Role::Pending) => {
-            client_frame(
-                cid,
-                payload,
-                opts,
-                queue,
-                next_job_id,
-                conns,
-                hosts,
-                jobs,
-                results,
-                pending,
-                stats,
-                draining,
-            );
-        }
-        None => {}
-    }
-}
-
-/// A client verb (`SUBMIT`/`STATUS`/`CANCEL`) from `cid`.
-#[allow(clippy::too_many_arguments)]
-fn client_frame(
-    cid: u64,
-    payload: &str,
-    opts: &DaemonOptions,
-    queue: &QueueFile,
-    next_job_id: &mut u64,
-    conns: &mut HashMap<u64, Conn>,
-    hosts: &mut [WorkerHost],
-    jobs: &mut BTreeMap<u64, Job>,
-    results: &mut HashMap<CellKey, Cell>,
-    pending: &mut Vec<PendingTask>,
-    stats: &mut DaemonStats,
-    draining: bool,
-) {
-    if payload == "STATUS" {
-        let open = jobs.values().filter(|j| j.state == JobState::Open).count();
-        let json = stats.snapshot(open).to_json();
-        if let Some(c) = conns.get_mut(&cid) {
-            if matches!(c.role, Role::Pending) {
-                c.role = Role::Client { job: None };
-            }
-        }
-        send_to(cid, &format!("STATS {json}"), conns, hosts, stats);
-        return;
-    }
-    if let Some(token) = payload.strip_prefix("CANCEL ") {
-        let token = token.trim();
-        if let Some(c) = conns.get_mut(&cid) {
-            if matches!(c.role, Role::Pending) {
-                c.role = Role::Client { job: None };
-            }
-        }
-        let found = jobs.values().find(|j| j.token == token).map(|j| j.id);
-        match found {
-            Some(jid) if jobs[&jid].state == JobState::Open => {
-                queue.append(&QRec::Cancel { id: jid });
-                jobs.get_mut(&jid).expect("found above").state = JobState::Cancelled;
-                stats.jobs_cancelled += 1;
-                notify_watchers(jid, &format!("JOBFAIL {jid} cancelled"), conns);
-                send_to(cid, &format!("CANCELLED {jid}"), conns, hosts, stats);
-            }
-            Some(jid) => {
-                send_to(cid, &format!("CANCELLED {jid}"), conns, hosts, stats);
-            }
-            None => {
-                send_to(cid, "NOJOB", conns, hosts, stats);
-            }
-        }
-        return;
-    }
-    if let Some(rest) = payload.strip_prefix("SUBMIT ") {
-        let Some((token, header)) = rest.split_once(' ') else {
-            send_to(
-                cid,
-                "REJECT SUBMIT needs a token and a sweep header",
-                conns,
-                hosts,
-                stats,
-            );
-            return;
-        };
-        let spec = match SweepSpec::parse_header(header) {
-            Ok(s) => s,
-            Err(why) => {
-                send_to(cid, &format!("REJECT {why}"), conns, hosts, stats);
-                return;
-            }
-        };
-        if spec.scale != opts.scale {
-            send_to(
-                cid,
-                &format!(
-                    "REJECT daemon serves scale {},{},{},{} only",
-                    opts.scale.warmup, opts.scale.budget, opts.scale.parsec_phase, opts.scale.seed
-                ),
-                conns,
-                hosts,
-                stats,
-            );
-            return;
-        }
-        if configs::by_name(&spec.design).is_none() {
-            send_to(
-                cid,
-                &format!("REJECT unknown design {}", spec.design),
-                conns,
-                hosts,
-                stats,
-            );
-            return;
-        }
-        if draining {
-            send_to(cid, "REJECT daemon is draining", conns, hosts, stats);
-            return;
-        }
-
-        // Idempotent by token: a resubmit attaches to the existing job.
-        let existing = jobs.values().find(|j| j.token == token).map(|j| j.id);
-        let jid = match existing {
-            Some(jid) => jid,
-            None => {
-                let open = jobs.values().filter(|j| j.state == JobState::Open).count();
-                if open >= opts.queue_depth {
-                    stats.jobs_shed += 1;
-                    send_to(cid, &format!("SHED {open}"), conns, hosts, stats);
-                    return;
-                }
-                let jid = *next_job_id;
-                *next_job_id += 1;
-                // Durable before visible: QJOB hits the disk (fsync)
-                // before the client ever sees ACCEPTED.
-                queue.append(&QRec::Job {
-                    id: jid,
-                    token: token.to_string(),
-                    header: spec.header_line(),
-                });
-                jobs.insert(
-                    jid,
-                    Job {
-                        id: jid,
-                        token: token.to_string(),
-                        spec: spec.clone(),
-                        state: JobState::Open,
-                    },
-                );
-                stats.jobs_submitted += 1;
-                schedule_job(jid, jobs, results, hosts, pending, stats);
-                jid
-            }
-        };
-        if let Some(c) = conns.get_mut(&cid) {
-            c.role = Role::Client { job: Some(jid) };
-        }
-        if !send_to(cid, &format!("ACCEPTED {jid}"), conns, hosts, stats) {
-            return;
-        }
-        // Replay what is already known: completed cells, then the
-        // terminal state if the job is already settled.
-        let job_spec = jobs[&jid].spec.clone();
-        for &n in SWEEP_COUNTS.iter() {
-            let key = job_spec.cell_key(n);
-            if let Some(cell) = results.get(&key) {
-                let rec = Record::Cell {
-                    key,
-                    cell: cell.clone(),
-                };
-                if !send_to(
-                    cid,
-                    &format!("RES {jid} {}", rec.encode()),
-                    conns,
-                    hosts,
-                    stats,
-                ) {
-                    return;
-                }
-            }
-        }
-        maybe_finish_job(jid, queue, jobs, results, conns, stats);
-        match &jobs[&jid].state {
-            JobState::Open => {}
-            JobState::Done => {
-                send_to(cid, &format!("JOBDONE {jid}"), conns, hosts, stats);
-            }
-            JobState::Failed(why) => {
-                let msg = format!("JOBFAIL {jid} {why}");
-                send_to(cid, &msg, conns, hosts, stats);
-            }
-            JobState::Cancelled => {
-                send_to(
-                    cid,
-                    &format!("JOBFAIL {jid} cancelled"),
-                    conns,
-                    hosts,
-                    stats,
-                );
-            }
-        }
-        return;
-    }
-    stats.rejected_frames += 1;
-    drop_conn(cid, conns, hosts, stats);
+    core.run(listener, opts.serve.workers)?;
+    Ok(ServeOutcome {
+        cells: core.results.into_iter().map(|(k, c)| (k.n, c)).collect(),
+        quarantined: core
+            .quarantined
+            .into_iter()
+            .map(|(k, e)| (k.n, e))
+            .collect(),
+        interrupted: core.draining,
+        stats: core.stats,
+    })
 }
 
 #[cfg(test)]
@@ -1785,6 +1619,8 @@ mod tests {
     use super::*;
     use crate::ctx::WorkloadKind;
     use crate::mode::SimMode;
+    use crate::net::send_torn;
+    use crate::worker::encode_done;
 
     fn spec() -> SweepSpec {
         SweepSpec {
@@ -1928,5 +1764,100 @@ mod tests {
             assert_eq!(back, s);
             assert_eq!(back.cell_key(n), key);
         }
+    }
+
+    #[test]
+    fn stale_attempt_frame_is_rejected_without_failing_the_live_attempt() {
+        let dir = std::env::temp_dir().join(format!("tlpsim-core-stale-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sweep.journal");
+        let journal = Journal::create(&path, spec()).unwrap();
+        let opts = DaemonOptions::new("127.0.0.1:0".into(), ServeOptions::default());
+        let mut core = Core::new(&opts, Ledger::Journal(&journal), "127.0.0.1:1".into());
+        // A host whose predecessor attempt was failed mid-cell: it is on
+        // attempt 1 of cell n=4 while one frame from attempt 0 leaked
+        // past that failure.
+        let task = |attempt| Task {
+            key: spec().cell_key(4),
+            attempt,
+            due: Instant::now() + Duration::from_secs(60),
+        };
+        core.hosts.push(WorkerHost {
+            conn: None,
+            child: None,
+            pid: 0,
+            busy: Some(task(1)),
+            last_hb: Instant::now(),
+            spawned_at: Instant::now(),
+        });
+        let cell = Cell {
+            stp: vec![1.0; 12],
+            antt: vec![1.0; 12],
+            power_w: vec![1.0; 12],
+        };
+        let done = |attempt, n| {
+            let rec = Record::Cell {
+                key: spec().cell_key(n),
+                cell: cell.clone(),
+            };
+            encode_done(attempt, &rec.encode())
+        };
+
+        // The stale frame: same cell, *older attempt*. Matching on the
+        // cell key alone would journal it as the live attempt's result.
+        core.worker_frame(0, &done(0, 4));
+        assert_eq!(
+            core.stats.rejected_frames, 1,
+            "stale frame must be rejected"
+        );
+        assert!(
+            core.hosts[0].busy.is_some(),
+            "live attempt must stay in flight"
+        );
+        assert!(core.results.is_empty(), "stale result must not be trusted");
+        assert_eq!(core.stats.retries, 0, "live attempt must not be failed");
+
+        // The live attempt's own frame is accepted, journaled first.
+        core.worker_frame(0, &done(1, 4));
+        assert!(core.hosts[0].busy.is_none());
+        assert_eq!(core.results.len(), 1);
+        assert_eq!(core.stats.rejected_frames, 1);
+        let (_, _, journaled, _) = Journal::open(&path).unwrap();
+        assert_eq!(journaled.keys().copied().collect::<Vec<_>>(), vec![4]);
+
+        // A genuinely foreign cell (wrong n) still fails the in-flight
+        // attempt — the host's state is unknown.
+        core.hosts[0].busy = Some(task(0));
+        core.worker_frame(0, &done(0, 8));
+        assert_eq!(core.stats.rejected_frames, 2);
+        assert!(core.hosts[0].busy.is_none());
+        assert_eq!(core.stats.retries, 1);
+        assert_eq!(core.pending.len(), 1, "the failed attempt is re-queued");
+        drop(core);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn torn_tail_is_one_rejected_frame_before_the_connection_is_gone() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut host = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let (tx, rx) = channel();
+        let reader = std::thread::spawn(move || {
+            reader_loop(7, stream, &tx, &AtomicBool::new(false));
+        });
+        // A host that dies halfway through writing its DONE.
+        send_frame(&mut host, "HELLO 1 2").unwrap();
+        send_torn(&mut host, &encode_done(0, "CELL 4B 4 X 1 80 exact 1.0 2.0"));
+        drop(host);
+        reader.join().unwrap();
+        let events: Vec<Ev> = rx.try_iter().collect();
+        assert!(
+            matches!(
+                events.as_slice(),
+                [Ev::Frame(7, hello), Ev::Bad, Ev::Gone(7)] if hello == "HELLO 1 2"
+            ),
+            "{events:?}"
+        );
     }
 }

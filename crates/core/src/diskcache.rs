@@ -269,8 +269,8 @@ impl Record {
 /// Frame an arbitrary payload as one checksummed line (newline
 /// included): `<fnv1a64-hex> <len> <payload>\n`. This framing is shared
 /// by the disk cache, the sweep journal, and the `tlpsim serve`
-/// supervisor↔worker pipe protocol — one torn-write detector for all
-/// three. Inverse of [`unframe`].
+/// supervisor↔worker and daemon↔client protocols — one torn-write
+/// detector for all three. Inverse of [`unframe`].
 pub fn frame_payload(payload: &str) -> String {
     format!(
         "{:016x} {} {payload}\n",

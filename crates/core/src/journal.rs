@@ -77,8 +77,8 @@ impl SweepSpec {
     }
 
     /// The journal's header line (no trailing newline). Public because
-    /// `tlpsim serve` hands the whole sweep spec to worker processes as
-    /// one header string on their command line — the same self-
+    /// the serve supervisor hands the whole sweep spec to a worker host
+    /// in every `RUNS` request as this one string — the same self-
     /// describing format the journal file leads with.
     pub fn header_line(&self) -> String {
         format!(
@@ -187,8 +187,27 @@ pub struct ReplayReport {
 #[derive(Debug)]
 pub struct Journal {
     file: Mutex<std::fs::File>,
-    lock_path: PathBuf,
+    path: PathBuf,
     spec: SweepSpec,
+}
+
+/// The directory a sweep keeps its in-cell checkpoints in, derived from
+/// the journal path so sweep, serve and resume agree without extra
+/// flags.
+pub fn ckpt_dir_for(journal_path: &Path) -> PathBuf {
+    path_with_suffix(journal_path, ".ckpt.d")
+}
+
+/// The result cache the worker hosts of `tlpsim serve` compute through,
+/// derived from the journal path like [`ckpt_dir_for`].
+pub(crate) fn cells_path_for(journal_path: &Path) -> PathBuf {
+    path_with_suffix(journal_path, ".cells")
+}
+
+fn path_with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let mut os = path.as_os_str().to_os_string();
+    os.push(suffix);
+    PathBuf::from(os)
 }
 
 impl Journal {
@@ -207,8 +226,7 @@ impl Journal {
                 std::fs::create_dir_all(dir).map_err(io)?;
             }
         }
-        let lock_path = lock_path_for(path);
-        let _lock = FileLock::acquire(lock_path.clone());
+        let _lock = FileLock::acquire(lock_path_for(path));
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -220,7 +238,7 @@ impl Journal {
         file.sync_data().map_err(io)?;
         Ok(Journal {
             file: Mutex::new(file),
-            lock_path,
+            path: path.to_path_buf(),
             spec,
         })
     }
@@ -242,8 +260,7 @@ impl Journal {
         let io = |e: std::io::Error| {
             SimError::InvalidConfig(format!("cannot open journal {}: {e}", path.display()))
         };
-        let lock_path = lock_path_for(path);
-        let _lock = FileLock::acquire(lock_path.clone());
+        let _lock = FileLock::acquire(lock_path_for(path));
 
         let mut text = String::new();
         std::fs::File::open(path)
@@ -302,7 +319,7 @@ impl Journal {
         Ok((
             Journal {
                 file: Mutex::new(file),
-                lock_path,
+                path: path.to_path_buf(),
                 spec: spec.clone(),
             },
             spec,
@@ -316,6 +333,11 @@ impl Journal {
         &self.spec
     }
 
+    /// The journal file's path.
+    pub(crate) fn path(&self) -> &Path {
+        &self.path
+    }
+
     /// Durably append one completed cell: a single framed `write_all`
     /// followed by `sync_data`, under the advisory file lock. After
     /// this returns, the cell survives SIGKILL and power loss short of
@@ -326,7 +348,7 @@ impl Journal {
             cell: cell.clone(),
         };
         let line = rec.frame();
-        let _lock = FileLock::acquire(self.lock_path.clone());
+        let _lock = FileLock::acquire(lock_path_for(&self.path));
         let mut f = lock_unpoisoned(&self.file);
         let _ = f.seek(std::io::SeekFrom::End(0));
         let _ = f.write_all(line.as_bytes());

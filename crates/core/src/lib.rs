@@ -73,7 +73,11 @@ pub struct SimScale {
 }
 
 impl SimScale {
-    /// Small scale for unit tests (seconds per figure).
+    /// 3k warmup + 8k measured instructions per thread, 12k-instruction
+    /// PARSEC phases: the scale of the CLI, the bench targets (unless
+    /// `TLPSIM_SCALE=standard`), `all_figures`, `tests/findings.rs` and
+    /// EXPERIMENTS.md. A cold `all_figures` run takes about 15 minutes
+    /// on two CPUs.
     pub fn quick() -> Self {
         SimScale {
             warmup: 3_000,
@@ -83,7 +87,9 @@ impl SimScale {
         }
     }
 
-    /// The scale used by the benchmark harness and EXPERIMENTS.md.
+    /// Roughly triple the quick windows, for checking that a finding
+    /// holds at a larger scale; the bench targets select it with
+    /// `TLPSIM_SCALE=standard`.
     pub fn standard() -> Self {
         SimScale {
             warmup: 8_000,

@@ -1,9 +1,9 @@
-//! TCP transport for the serve daemon (DESIGN.md §16).
+//! TCP transport of the serve supervision core (DESIGN.md §13, §16).
 //!
-//! The daemon, its worker hosts, and every client speak the same
-//! line-oriented framed protocol the disk cache and journal use on
+//! The supervisor, its worker hosts, and every daemon client speak the
+//! same line-oriented framed protocol the disk cache and journal use on
 //! disk: `<fnv1a64-hex> <len> <payload>\n` ([`crate::diskcache`]).
-//! This module owns the two pieces that only exist once a network is
+//! This module owns the pieces that only exist once a network is
 //! involved:
 //!
 //! * [`FrameDecoder`] — an *incremental* decoder that accepts arbitrary
@@ -13,20 +13,22 @@
 //!   line beyond that cap yields one `Oversized` error and the decoder
 //!   resynchronizes at the next newline, so a malicious or broken peer
 //!   cannot balloon memory;
-//! * [`FrameReader`] — the decoder over a blocking pipe, so the serve
-//!   supervisor and its pipe workers get the same bound and the same
-//!   typed errors as TCP peers;
+//! * [`FrameReader`] — the one read loop: the decoder fed from a
+//!   blocking stream. The supervisor's per-connection readers, the
+//!   worker host and [`FramedConn`] all read through it, so every peer
+//!   gets the same bound, the same typed errors, and the same
+//!   accounting of a torn last frame;
 //! * [`FramedConn`] — a `TcpStream` wrapper with per-connection read
 //!   and write deadlines. A stalled or slow-loris peer surfaces as
 //!   [`FrameError::TimedOut`] on *this* connection; it cannot wedge the
 //!   accept loop or any other peer.
 //!
-//! The network fault classes of `TLPSIM_FAULT` (`conn-drop`,
-//! `partial-frame`, `slow-peer`, `hb-loss` — see [`crate::worker`]) are
-//! injected right here at the framing layer: [`FramedConn::send_torn`]
-//! emits half a frame, [`FramedConn::send_trickled`] dribbles a frame
-//! byte-group by byte-group. Both produce exactly the wire states the
-//! decoder hardening is tested against.
+//! The result-boundary fault classes of `TLPSIM_FAULT` (`torn-write`,
+//! `partial-frame`, `slow-peer` — see [`crate::worker`]) are injected
+//! right here at the framing layer: [`send_torn`] emits half a frame,
+//! [`send_trickled`] dribbles a frame byte-group by byte-group. Both
+//! produce exactly the wire states the decoder hardening is tested
+//! against.
 
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -136,13 +138,15 @@ impl FrameDecoder {
     }
 }
 
-/// Blocking frame reader over a pipe (a worker's stdin, a supervisor's
-/// view of a worker's stdout): [`FrameDecoder`] fed from `inner`, so a
-/// pipe peer is held to [`MAX_FRAME`] and its bad lines surface as
-/// typed [`FrameError::Corrupt`]/[`FrameError::Oversized`] items,
-/// never as unbounded buffering. An unterminated last line at end of
-/// stream (a writer killed mid-frame) is one `Corrupt` item. Iteration
-/// ends at end of stream or on a read error.
+/// Blocking frame reader: [`FrameDecoder`] fed from `inner` (a socket,
+/// or any other byte stream), so a peer is held to [`MAX_FRAME`] and its
+/// bad lines surface as typed [`FrameError::Corrupt`] /
+/// [`FrameError::Oversized`] items, never as unbounded buffering. A read
+/// deadline (or a signal) yields [`FrameError::TimedOut`] and the
+/// stream stays usable, so a caller can check its stop flags between
+/// frames. An unterminated last line at end of stream (a writer killed
+/// mid-frame) is one `Corrupt` item. Iteration ends at end of stream or
+/// on any other read error.
 #[derive(Debug)]
 pub struct FrameReader<R> {
     inner: R,
@@ -184,8 +188,10 @@ impl<R: Read> Iterator for FrameReader<R> {
                     }
                 }
                 Ok(n) => self.dec.feed(&chunk[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => self.done = true,
+                Err(e) => match read_err(&e) {
+                    FrameError::TimedOut => return Some(Err(FrameError::TimedOut)),
+                    _ => self.done = true,
+                },
             }
         }
     }
@@ -203,8 +209,7 @@ fn read_err(e: &std::io::Error) -> FrameError {
 /// A `TcpStream` speaking whole frames, with read/write deadlines.
 #[derive(Debug)]
 pub struct FramedConn {
-    stream: TcpStream,
-    dec: FrameDecoder,
+    reader: FrameReader<TcpStream>,
 }
 
 impl FramedConn {
@@ -238,8 +243,7 @@ impl FramedConn {
         stream.set_write_timeout(Some(timeout)).map_err(io)?;
         stream.set_nodelay(true).map_err(io)?;
         Ok(FramedConn {
-            stream,
-            dec: FrameDecoder::new(),
+            reader: FrameReader::new(stream),
         })
     }
 
@@ -249,7 +253,7 @@ impl FramedConn {
     /// # Errors
     /// [`FrameError::Io`] when the socket refuses the option.
     pub fn set_read_timeout(&self, timeout: Duration) -> Result<(), FrameError> {
-        self.stream
+        self.stream()
             .set_read_timeout(Some(timeout))
             .map_err(|e| FrameError::Io(e.to_string()))
     }
@@ -257,7 +261,7 @@ impl FramedConn {
     /// The underlying stream (for `try_clone`, `shutdown`, peer
     /// address).
     pub fn stream(&self) -> &TcpStream {
-        &self.stream
+        &self.reader.inner
     }
 
     /// Frame and send one payload under the write deadline.
@@ -267,28 +271,19 @@ impl FramedConn {
     /// time (slow-loris); [`FrameError::Io`]/[`FrameError::Closed`] on
     /// other failures.
     pub fn send(&mut self, payload: &str) -> Result<(), FrameError> {
-        send_frame(&mut self.stream, payload)
+        send_frame(&mut self.stream(), payload)
     }
 
     /// Receive the next frame, blocking up to the read deadline.
     ///
     /// # Errors
     /// [`FrameError::TimedOut`] when the deadline passes with no
-    /// complete frame; [`FrameError::Closed`] on EOF;
-    /// [`FrameError::Corrupt`]/[`FrameError::Oversized`] for bad wire
-    /// data (the connection stays usable after these).
+    /// complete frame; [`FrameError::Closed`] once the stream has ended
+    /// (EOF or a socket error); [`FrameError::Corrupt`] /
+    /// [`FrameError::Oversized`] for bad wire data (the connection stays
+    /// usable after these).
     pub fn recv(&mut self) -> Result<String, FrameError> {
-        loop {
-            if let Some(res) = self.dec.next() {
-                return res;
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(FrameError::Closed),
-                Ok(n) => self.dec.feed(&chunk[..n]),
-                Err(e) => return Err(read_err(&e)),
-            }
-        }
+        self.reader.next().unwrap_or(Err(FrameError::Closed))
     }
 }
 
@@ -303,9 +298,9 @@ pub fn send_frame<W: Write>(w: &mut W, payload: &str) -> Result<(), FrameError> 
     w.flush().map_err(|e| read_err(&e))
 }
 
-/// The `partial-frame` fault: emit only the first half of the framed
-/// line, no terminator. The receiving decoder must reject it by
-/// checksum and resynchronize.
+/// The `torn-write` and `partial-frame` faults: emit only the first
+/// half of the framed line, no terminator. The receiving reader must
+/// reject it by checksum and resynchronize.
 pub fn send_torn<W: Write>(w: &mut W, payload: &str) {
     let line = frame_payload(payload);
     let half = &line.as_bytes()[..line.len() / 2];

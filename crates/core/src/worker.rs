@@ -1,35 +1,32 @@
-//! The sweep-service worker process (DESIGN.md §13).
+//! The sweep-service worker host (DESIGN.md §13, §16).
 //!
-//! `tlpsim serve` fans sweep cells out to worker *OS processes* so a
-//! segfaulting, OOM-killed or wedged cell cannot take the sweep down.
-//! This module is the worker side: a loop that reads framed cell
-//! requests from stdin, simulates them with the ordinary [`Ctx`]
-//! machinery, and writes framed replies to stdout. The wire format
-//! reuses the disk-cache/journal framing (`<fnv1a64> <len> <payload>`,
-//! one frame per line — see [`crate::diskcache`]), so a torn or
-//! corrupted frame is detected by the supervisor exactly the way a torn
-//! journal record is.
+//! `tlpsim serve` and `tlpsim serve --daemon` fan sweep cells out to
+//! worker *OS processes* so a segfaulting, OOM-killed or wedged cell
+//! cannot take the sweep down. This module is the worker side: a host
+//! that connects back to its supervisor over TCP, reads framed cell
+//! requests, simulates them with the ordinary [`Ctx`] machinery, and
+//! writes framed replies. The wire format reuses the disk-cache/journal
+//! framing (`<fnv1a64> <len> <payload>`, one frame per line — see
+//! [`crate::diskcache`]), so a torn or corrupted frame is detected by
+//! the supervisor exactly the way a torn journal record is.
 //!
 //! Wire protocol (one framed payload per line):
 //!
 //! | direction           | payload                                      |
 //! |---------------------|----------------------------------------------|
-//! | supervisor → worker | `RUN <n> <attempt> <last01>`                 |
-//! | supervisor → worker | `RUNS <n> <attempt> <last01> <header>` (TCP) |
+//! | supervisor → worker | `RUNS <n> <attempt> <last01> <header>`       |
 //! | supervisor → worker | `EXIT`                                       |
 //! | worker → supervisor | `HELLO <pid> <protocol-version>`             |
 //! | worker → supervisor | `HB <counters-json>` (heartbeat)             |
 //! | worker → supervisor | `DONE <attempt> <CELL ...>` (a result)       |
 //! | worker → supervisor | `ERR <n> <attempt> <interrupted01> <why>`    |
 //!
-//! Protocol v2 changed two things. Results now ride in a `DONE` frame
-//! that carries the *attempt* alongside the [`Record::Cell`] payload,
-//! so the supervisor can reject a stale frame leaked by a predecessor
-//! killed on the same slot (generation *and* attempt are checked —
-//! the heartbeat-loss race of DESIGN.md §16). And the TCP worker-host
-//! shape arrived: `RUNS` carries the full sweep header per request, so
-//! one connected worker host can serve cells of any job the daemon
-//! holds, computing through a shared disk cache
+//! Results ride in a `DONE` frame that carries the *attempt* alongside
+//! the [`Record::Cell`] payload, so the supervisor can reject a stale
+//! frame from an earlier attempt of the same cell (the heartbeat-loss
+//! race of DESIGN.md §16). `RUNS` carries the full sweep header per
+//! request, so one connected host can serve cells of any job the
+//! supervisor holds, computing through a shared disk cache
 //! ([`crate::ctx::Ctx::with_disk_cache`]) that makes every result
 //! durable *before* the frame is sent — a lost result frame is a cache
 //! hit on retry, never a recompute.
@@ -57,7 +54,8 @@
 //!
 //! Draws are SplitMix64-seeded from `(seed, cell, attempt)`, so a given
 //! cell/attempt pair always behaves identically — every recovery path
-//! in the supervisor is exercised by tests, not argued about. Faults:
+//! in the supervisor is exercised by tests, not argued about. Process
+//! faults:
 //!
 //! * `crash` — exit(101) before simulating (an OOM-kill/segfault stand-in);
 //! * `stall` — stop heartbeating and sleep (a wedged worker; the
@@ -65,18 +63,19 @@
 //! * `torn-write` — simulate the cell, write *half* of the result frame
 //!   and exit(102) (a mid-write death; the frame checksum rejects it).
 //!
-//! The four *network* classes only fire on TCP worker hosts, at the
-//! framing layer ([`crate::net`]), and are drawn from an independent
-//! SplitMix64 stream so arming them never perturbs the process-fault
-//! draws:
+//! The four *network* classes act at the framing layer ([`crate::net`])
+//! and are drawn from an independent SplitMix64 stream, so arming them
+//! never perturbs the process-fault draws (a process fault wins when
+//! both fire):
 //!
 //! * `conn-drop` — compute the cell (the shared disk cache makes it
 //!   durable), then close the connection without sending the result
 //!   (exit 104): the retry must be a cache hit, not a recompute;
 //! * `partial-frame` — compute, send *half* the `DONE` frame, exit
-//!   (105): the decoder must reject it and the retry dedups;
-//! * `hb-loss` — go silent *before* computing and hang: the daemon's
-//!   heartbeat timeout must kill this host (exit 106 if it never does);
+//!   (105): the reader must reject it and the retry dedups;
+//! * `hb-loss` — go silent *before* computing and hang: the
+//!   supervisor's heartbeat timeout must kill this host (exit 106 if it
+//!   never does);
 //! * `slow-peer` — send the intact result a few bytes at a time with
 //!   pauses: correctness is untouched, the incremental decoder and the
 //!   read deadlines are what is being exercised.
@@ -87,7 +86,7 @@
 //! `persist` removes that guarantee, which is how the quarantine path
 //! itself is tested.
 
-use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -102,19 +101,20 @@ use crate::diskcache::Record;
 use crate::error::SimError;
 use crate::executor::lock_unpoisoned;
 use crate::journal::SweepSpec;
-use crate::net::{self, FrameDecoder};
+use crate::net::{self, FrameError, FrameReader};
 use crate::{interrupt, snapshot};
 
 /// Version tag carried in `HELLO`; bump on any wire-format change.
-/// v2: results ride in `DONE <attempt> <CELL ...>` frames and the TCP
-/// worker-host `RUNS` request exists.
+/// v2: results ride in `DONE <attempt> <CELL ...>` frames and requests
+/// are `RUNS` frames carrying the sweep header.
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Worker exit codes (stable; the supervisor and tests rely on them).
 pub mod exit_code {
-    /// Clean shutdown (EXIT frame, stdin EOF, or graceful drain).
+    /// Clean shutdown (`EXIT` frame, connection closed, or graceful
+    /// drain).
     pub const OK: i32 = 0;
-    /// Bad header / malformed `TLPSIM_FAULT` — a usage error.
+    /// Malformed `TLPSIM_FAULT` or `TLPSIM_SERVE_HB_MS` — a usage error.
     pub const USAGE: i32 = 2;
     /// Injected `crash` fault.
     pub const FAULT_CRASH: i32 = 101;
@@ -136,68 +136,8 @@ pub mod exit_code {
 /// (the supervisor is expected to kill the worker long before this).
 const STALL_SLEEP: Duration = Duration::from_secs(3600);
 
-/// A framed request from the supervisor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Simulate the cell at thread count `n`. `attempt` counts from 0;
-    /// `last` marks the final attempt of the retry budget (fault
-    /// injection is suppressed there unless `persist` is set).
-    Run {
-        /// Thread count of the requested cell.
-        n: usize,
-        /// Zero-based attempt number.
-        attempt: u32,
-        /// True when this is the cell's final permitted attempt.
-        last: bool,
-    },
-    /// Finish the current loop and exit 0.
-    Exit,
-}
-
-impl Request {
-    /// Serialize to the wire payload (without framing).
-    pub fn encode(&self) -> String {
-        match self {
-            Request::Run { n, attempt, last } => {
-                format!("RUN {n} {attempt} {}", u8::from(*last))
-            }
-            Request::Exit => "EXIT".to_string(),
-        }
-    }
-
-    /// Strictly parse a wire payload.
-    ///
-    /// # Errors
-    /// A diagnostic string when the payload is not a valid request.
-    pub fn decode(payload: &str) -> Result<Request, String> {
-        let mut it = payload.split_whitespace();
-        match it.next() {
-            Some("RUN") => {
-                let (Some(n), Some(a), Some(l), None) =
-                    (it.next(), it.next(), it.next(), it.next())
-                else {
-                    return Err("RUN needs exactly 3 fields".into());
-                };
-                let n = n.parse().map_err(|_| format!("bad thread count {n:?}"))?;
-                let attempt = a.parse().map_err(|_| format!("bad attempt {a:?}"))?;
-                let last = match l {
-                    "0" => false,
-                    "1" => true,
-                    _ => return Err(format!("bad last flag {l:?}")),
-                };
-                Ok(Request::Run { n, attempt, last })
-            }
-            Some("EXIT") => {
-                if it.next().is_some() {
-                    return Err("EXIT takes no fields".into());
-                }
-                Ok(Request::Exit)
-            }
-            Some(tag) => Err(format!("unknown request {tag:?}")),
-            None => Err("empty request".into()),
-        }
-    }
-}
+/// The request that releases an idle worker host: it exits 0.
+pub const EXIT: &str = "EXIT";
 
 /// Encode a worker-side failure reply.
 pub fn encode_err(n: usize, attempt: u32, interrupted: bool, detail: &str) -> String {
@@ -237,9 +177,11 @@ pub fn decode_done(payload: &str) -> Option<(u32, &str)> {
     Some((attempt.parse().ok()?, record))
 }
 
-/// Encode a TCP worker-host request: like `RUN`, plus the full sweep
-/// header so the host knows what to simulate without per-connection
-/// state (the daemon serves many jobs through one worker pool).
+/// Encode a cell request: thread count, zero-based attempt, whether it
+/// is the cell's final permitted attempt (fault injection is suppressed
+/// there unless `persist` is set), and the full sweep header, so the
+/// host knows what to simulate without per-connection state (the
+/// daemon serves many jobs through one worker pool).
 pub fn encode_runs(n: usize, attempt: u32, last: bool, header: &str) -> String {
     format!("RUNS {n} {attempt} {} {header}", u8::from(last))
 }
@@ -247,8 +189,8 @@ pub fn encode_runs(n: usize, attempt: u32, last: bool, header: &str) -> String {
 /// Parse a `RUNS` payload back into `(n, attempt, last, spec)`.
 ///
 /// # Errors
-/// A diagnostic string for a malformed request or header — a TCP host
-/// must refuse garbage loudly, not simulate a guess.
+/// A diagnostic string for a malformed request or header — a worker
+/// host must refuse garbage loudly, not simulate a guess.
 pub fn decode_runs(payload: &str) -> Result<(usize, u32, bool, SweepSpec), String> {
     let rest = payload
         .strip_prefix("RUNS ")
@@ -465,36 +407,23 @@ impl FaultSpec {
     }
 }
 
-/// Shared frame writer: heartbeat thread and main loop interleave on
-/// one output (stdout on the pipe transport, a `TcpStream` on the TCP
-/// transport), so every frame is one locked `write_all` + flush.
-struct FrameWriter<W: Write> {
-    out: Arc<Mutex<W>>,
+/// Shared frame writer: the heartbeat thread and the main loop
+/// interleave on one socket, so every frame is one locked `write_all` +
+/// flush.
+#[derive(Clone)]
+struct FrameWriter {
+    out: Arc<Mutex<TcpStream>>,
 }
 
-impl<W: Write> Clone for FrameWriter<W> {
-    fn clone(&self) -> Self {
-        FrameWriter {
-            out: Arc::clone(&self.out),
-        }
-    }
-}
-
-impl<W: Write> FrameWriter<W> {
-    fn from_writer(w: W) -> FrameWriter<W> {
-        FrameWriter {
-            out: Arc::new(Mutex::new(w)),
-        }
-    }
-
+impl FrameWriter {
     /// Frame and send one payload. Returns false when the supervisor
-    /// side of the transport is gone (time to exit).
+    /// side of the connection is gone (time to exit).
     fn send(&self, payload: &str) -> bool {
         let mut out = lock_unpoisoned(&self.out);
         net::send_frame(&mut *out, payload).is_ok()
     }
 
-    /// The torn-write/partial-frame fault: emit only the first half of
+    /// The torn-write/partial-frame faults: emit only the first half of
     /// the framed line (no terminator) so the supervisor sees a bad
     /// frame + EOF.
     fn send_torn(&self, payload: &str) {
@@ -550,22 +479,21 @@ impl WorkerCounters {
     }
 }
 
-/// The worker process entry point: parse the sweep header handed on the
-/// command line, then serve framed `RUN` requests from stdin until
-/// `EXIT`, EOF, or a graceful interrupt. Returns the process exit code.
+/// The worker host entry point (`tlpsim __serve-worker --tcp <addr>
+/// <cache> [<ckpt-dir>]`): connect back to the supervisor at `addr`,
+/// introduce ourselves with `HELLO`, and serve framed `RUNS` requests
+/// until `EXIT`, connection loss, or a graceful interrupt. Returns the
+/// process exit code.
 ///
-/// `ckpt_dir`, when given, is where in-flight cells checkpoint (at the
-/// `TLPSIM_CKPT_CYCLES` cadence) — the supervisor passes the same
-/// directory `tlpsim sweep`/`resume` would use, so a drained serve run
-/// resumes mid-cell like any other sweep.
-pub fn worker_main(header: &str, ckpt_dir: Option<&str>) -> i32 {
-    let spec = match SweepSpec::parse_header(header) {
-        Ok(s) => s,
-        Err(why) => {
-            eprintln!("tlpsim worker: bad sweep header: {why}");
-            return exit_code::USAGE;
-        }
-    };
+/// The sweep spec rides in *every request* (the daemon multiplexes many
+/// jobs over one pool), and every result is made durable through the
+/// shared disk cache at `cache_path` *before* its `DONE` frame is sent —
+/// the write-ahead order that turns any lost result frame into a cache
+/// hit on retry. `ckpt_dir`, when given, is where in-flight cells
+/// checkpoint at the `TLPSIM_CKPT_CYCLES` cadence: one-shot `serve`
+/// passes the directory `tlpsim sweep`/`resume` use, so a drained serve
+/// run resumes mid-cell like any other sweep.
+pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> i32 {
     let fault = match FaultSpec::from_env() {
         Ok(f) => f,
         Err(why) => {
@@ -580,171 +508,21 @@ pub fn worker_main(header: &str, ckpt_dir: Option<&str>) -> i32 {
             return exit_code::USAGE;
         }
     };
-    let Some(design) = configs::by_name(&spec.design) else {
-        eprintln!("tlpsim worker: unknown design {}", spec.design);
-        return exit_code::USAGE;
+    let ckpt = match (ckpt_dir, snapshot::interval_from_env()) {
+        (Some(dir), Ok(Some(every))) => Some((PathBuf::from(dir), every)),
+        _ => None,
     };
-
     // SIGTERM from a draining supervisor (or a terminal Ctrl-C, which
     // reaches the whole process group) raises the cooperative flag; an
-    // in-flight checkpointed cell stops at its next slice boundary.
+    // in-flight cell stops at its next mix or checkpoint boundary.
     interrupt::install_handlers();
 
-    // The mode rides in the sweep header, so every worker simulates
-    // under exactly the supervisor's mode — a sampled serve never
-    // produces exact cells or vice versa.
-    let mut ctx = Ctx::new(spec.scale).with_mode(spec.mode);
-    if let Ok(v) = std::env::var("TLPSIM_WATCHDOG_CYCLES") {
-        if let Ok(cycles) = v.parse::<u64>() {
-            if cycles > 0 {
-                ctx = ctx.with_watchdog(cycles);
-            }
-        }
-    }
-    if let (Some(dir), Ok(Some(every))) = (ckpt_dir, snapshot::interval_from_env()) {
-        ctx = ctx.with_checkpoints(PathBuf::from(dir), every);
-    }
-
-    let writer = FrameWriter::from_writer(std::io::stdout());
-    let counters = Arc::new(WorkerCounters {
-        cells_done: AtomicU64::new(0),
-        busy_n: AtomicU64::new(0),
-        beats: AtomicU64::new(0),
-        alive: AtomicBool::new(true),
-    });
-
-    // Heartbeat thread: proves liveness while the main thread is deep
-    // inside a simulation. An injected stall silences it.
-    let hb = {
-        let writer = writer.clone();
-        let counters = Arc::clone(&counters);
-        std::thread::spawn(move || loop {
-            if !counters.alive.load(Ordering::SeqCst) {
-                return;
-            }
-            counters.beats.fetch_add(1, Ordering::Relaxed);
-            let payload = format!("HB {}", counters.snapshot().to_json());
-            if !writer.send(&payload) {
-                // The supervisor is gone: stop the in-flight cell at
-                // its next mix boundary instead of finishing it for
-                // nobody (an interrupted cell is never cached).
-                interrupt::request();
-                return;
-            }
-            std::thread::sleep(hb_every);
-        })
-    };
-
-    writer.send(&format!("HELLO {} {PROTOCOL_VERSION}", std::process::id()));
-
-    for frame in net::FrameReader::new(std::io::stdin().lock()) {
-        let req = match frame
-            .map_err(|e| e.to_string())
-            .and_then(|p| Request::decode(&p))
-        {
-            Ok(r) => r,
-            Err(why) => {
-                // A torn, corrupt or oversized request frame: ignore
-                // it. The supervisor owns the pipe; if it really
-                // wedged, EOF follows shortly.
-                eprintln!("tlpsim worker: dropping bad request frame: {why}");
-                continue;
-            }
-        };
-        match req {
-            Request::Exit => break,
-            Request::Run { n, attempt, last } => {
-                counters.busy_n.store(n as u64 + 1, Ordering::Relaxed);
-                match fault.draw(n, attempt, last) {
-                    Some(Fault::Crash) => {
-                        eprintln!("tlpsim worker: injected crash at cell n={n} attempt {attempt}");
-                        std::process::exit(exit_code::FAULT_CRASH);
-                    }
-                    Some(Fault::Stall) => {
-                        eprintln!("tlpsim worker: injected stall at cell n={n} attempt {attempt}");
-                        counters.alive.store(false, Ordering::SeqCst);
-                        std::thread::sleep(STALL_SLEEP);
-                        std::process::exit(exit_code::FAULT_STALL);
-                    }
-                    torn @ (Some(Fault::TornWrite) | None) => {
-                        let reply = match ctx.mp_cell_bus(
-                            &design,
-                            n,
-                            spec.kind,
-                            spec.smt,
-                            f64::from(spec.bus_dgbps) / 10.0,
-                        ) {
-                            Ok(cell) => {
-                                let rec = Record::Cell {
-                                    key: spec.cell_key(n),
-                                    cell: (*cell).clone(),
-                                };
-                                if torn.is_some() {
-                                    eprintln!(
-                                        "tlpsim worker: injected torn write at cell n={n} attempt {attempt}"
-                                    );
-                                    writer.send_torn(&encode_done(attempt, &rec.encode()));
-                                    std::process::exit(exit_code::FAULT_TORN);
-                                }
-                                counters.cells_done.fetch_add(1, Ordering::Relaxed);
-                                encode_done(attempt, &rec.encode())
-                            }
-                            Err(SimError::Interrupted) => {
-                                encode_err(n, attempt, true, "interrupted; cell checkpointed")
-                            }
-                            Err(e) => encode_err(n, attempt, false, &e.to_string()),
-                        };
-                        counters.busy_n.store(0, Ordering::Relaxed);
-                        if !writer.send(&reply) {
-                            break; // pipe gone: supervisor died; clean exit
-                        }
-                    }
-                }
-                if interrupt::requested() {
-                    break; // graceful drain: reply sent, exit 0
-                }
-            }
-        }
-    }
-
-    counters.alive.store(false, Ordering::SeqCst);
-    let _ = hb.join();
-    exit_code::OK
-}
-
-/// The TCP worker-host entry point (`tlpsim __serve-worker --tcp`):
-/// connect back to the daemon at `addr`, introduce ourselves with
-/// `HELLO`, and serve framed `RUNS` requests until `EXIT`, connection
-/// loss, or a graceful interrupt. Returns the process exit code.
-///
-/// Unlike the pipe worker, the sweep spec rides in *every request*
-/// (the daemon multiplexes many jobs over one pool), and every result
-/// is made durable through the shared disk cache at `cache_path`
-/// *before* its `DONE` frame is sent — the write-ahead order that
-/// turns any lost result frame into a cache hit on retry.
-pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
-    let fault = match FaultSpec::from_env() {
-        Ok(f) => f,
-        Err(why) => {
-            eprintln!("tlpsim worker: {why}");
-            return exit_code::USAGE;
-        }
-    };
-    let hb_every = match hb_interval_from_env() {
-        Ok(d) => d,
-        Err(why) => {
-            eprintln!("tlpsim worker: {why}");
-            return exit_code::USAGE;
-        }
-    };
-    interrupt::install_handlers();
-
-    // The daemon spawns us right after binding its listener (and the
+    // The supervisor spawns us right after binding its listener (and the
     // e2e harness restarts daemons under us), so be patient about the
     // first connect.
     let mut stream = None;
     for round in 0..50u64 {
-        match std::net::TcpStream::connect(addr) {
+        match TcpStream::connect(addr) {
             Ok(s) => {
                 stream = Some(s);
                 break;
@@ -761,14 +539,16 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
         eprintln!("tlpsim worker: cannot clone socket");
         return exit_code::NO_DAEMON;
     };
-    let writer = FrameWriter::from_writer(wstream);
+    let writer = FrameWriter {
+        out: Arc::new(Mutex::new(wstream)),
+    };
     let counters = Arc::new(WorkerCounters {
         cells_done: AtomicU64::new(0),
         busy_n: AtomicU64::new(0),
         beats: AtomicU64::new(0),
         alive: AtomicBool::new(true),
     });
-    // HELLO strictly before the heartbeat thread exists: the daemon
+    // HELLO strictly before the heartbeat thread exists: the supervisor
     // routes this connection to a worker slot on HELLO, and an HB
     // racing ahead of it would be an unknown verb from a stranger.
     writer.send(&format!("HELLO {} {PROTOCOL_VERSION}", std::process::id()));
@@ -782,8 +562,8 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
             counters.beats.fetch_add(1, Ordering::Relaxed);
             let payload = format!("HB {}", counters.snapshot().to_json());
             if !writer.send(&payload) {
-                // The daemon is gone: stop the in-flight cell at its
-                // next mix boundary (an interrupted cell is never
+                // The supervisor is gone: stop the in-flight cell at
+                // its next mix boundary (an interrupted cell is never
                 // cached), and the host exits.
                 interrupt::request();
                 return;
@@ -793,53 +573,36 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
     };
 
     // Short read timeout so the loop notices a graceful interrupt even
-    // while idle; the daemon's own heartbeat policy covers the rest.
+    // while idle; the supervisor's own heartbeat policy covers the rest.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let mut dec = FrameDecoder::new();
-    let mut buf = [0u8; 4096];
-    let mut stream = stream;
-    'serve: loop {
-        while let Some(res) = dec.next() {
-            let payload = match res {
-                Ok(p) => p,
-                Err(why) => {
-                    eprintln!("tlpsim worker: dropping bad request frame: {why}");
-                    continue;
-                }
-            };
-            if payload == "EXIT" {
-                break 'serve;
-            }
-            let (n, attempt, last, spec) = match decode_runs(&payload) {
-                Ok(r) => r,
-                Err(why) => {
-                    eprintln!("tlpsim worker: dropping bad request frame: {why}");
-                    continue;
-                }
-            };
-            if !serve_one_runs(
-                &writer, &counters, &fault, cache_path, n, attempt, last, &spec,
-            ) {
-                break 'serve;
-            }
-            if interrupt::requested() {
-                break 'serve;
-            }
-        }
+    for frame in FrameReader::new(stream) {
         if interrupt::requested() {
             break;
         }
-        match stream.read(&mut buf) {
-            Ok(0) => break, // daemon closed the connection
-            Ok(k) => dec.feed(&buf[..k]),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) => {}
-            Err(_) => break,
+        let payload = match frame {
+            Ok(p) => p,
+            Err(FrameError::TimedOut) => continue,
+            Err(why) => {
+                // A torn, corrupt or oversized request frame: ignore it.
+                // If the supervisor really wedged, EOF follows shortly.
+                eprintln!("tlpsim worker: dropping bad request frame: {why}");
+                continue;
+            }
+        };
+        if payload == EXIT {
+            break;
+        }
+        match decode_runs(&payload) {
+            Ok((n, attempt, last, spec)) => {
+                let ckpt = ckpt.as_ref();
+                let cell = (n, attempt, last);
+                if !serve_one(&writer, &counters, &fault, cache_path, ckpt, cell, &spec)
+                    || interrupt::requested()
+                {
+                    break;
+                }
+            }
+            Err(why) => eprintln!("tlpsim worker: dropping bad request frame: {why}"),
         }
     }
 
@@ -848,20 +611,19 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str) -> i32 {
     exit_code::OK
 }
 
-/// Simulate one `RUNS` request and reply. Returns false when the
-/// connection is gone and the host should exit. Process faults
-/// (crash/stall/torn-write) and network faults (conn-drop,
-/// partial-frame, hb-loss, slow-peer) both apply here; the network
-/// draw is independent of the process draw by construction.
-#[allow(clippy::too_many_arguments)]
-fn serve_one_runs<W: Write>(
-    writer: &FrameWriter<W>,
+/// Simulate one `RUNS` request — cell `(n, attempt, last)` of `spec` —
+/// and reply. Returns false when the connection is gone and the host
+/// should exit. Process faults (crash, stall, torn-write) and network
+/// faults (conn-drop, partial-frame, hb-loss, slow-peer) both apply
+/// here; the network draw is independent of the process draw by
+/// construction.
+fn serve_one(
+    writer: &FrameWriter,
     counters: &WorkerCounters,
     fault: &FaultSpec,
     cache_path: &str,
-    n: usize,
-    attempt: u32,
-    last: bool,
+    ckpt: Option<&(PathBuf, u64)>,
+    (n, attempt, last): (usize, u32, bool),
     spec: &SweepSpec,
 ) -> bool {
     let Some(design) = configs::by_name(&spec.design) else {
@@ -873,8 +635,7 @@ fn serve_one_runs<W: Write>(
         ));
     };
     counters.busy_n.store(n as u64 + 1, Ordering::Relaxed);
-    let net_fault = fault.draw_net(n, attempt, last);
-    match fault.draw(n, attempt, last) {
+    let torn = match fault.draw(n, attempt, last) {
         Some(Fault::Crash) => {
             eprintln!("tlpsim worker: injected crash at cell n={n} attempt {attempt}");
             std::process::exit(exit_code::FAULT_CRASH);
@@ -885,10 +646,11 @@ fn serve_one_runs<W: Write>(
             std::thread::sleep(STALL_SLEEP);
             std::process::exit(exit_code::FAULT_STALL);
         }
-        _ => {}
-    }
+        torn => torn.is_some(),
+    };
+    let net_fault = fault.draw_net(n, attempt, last);
     if net_fault == Some(NetFault::HbLoss) {
-        // Silence the heartbeat *before* computing: the daemon must
+        // Silence the heartbeat *before* computing: the supervisor must
         // reap this host by heartbeat timeout, and since nothing was
         // computed yet, the retry computing it fresh keeps the
         // computed-exactly-once invariant.
@@ -901,7 +663,8 @@ fn serve_one_runs<W: Write>(
     // A fresh context per request: replaying the shared cache is what
     // turns a retried-but-already-computed cell into a memo hit, and a
     // fresh compute appends to the cache *before* we reply (write-ahead
-    // for results) because Ctx persists at compute time.
+    // for results) because Ctx persists at compute time. The mode rides
+    // in the sweep header, so a sampled sweep never gets exact cells.
     let mut ctx = Ctx::with_disk_cache(spec.scale, cache_path).with_mode(spec.mode);
     if let Ok(v) = std::env::var("TLPSIM_WATCHDOG_CYCLES") {
         if let Ok(cycles) = v.parse::<u64>() {
@@ -909,6 +672,9 @@ fn serve_one_runs<W: Write>(
                 ctx = ctx.with_watchdog(cycles);
             }
         }
+    }
+    if let Some((dir, every)) = ckpt {
+        ctx = ctx.with_checkpoints(dir.clone(), *every);
     }
     let outcome = ctx.mp_cell_bus(
         &design,
@@ -918,93 +684,54 @@ fn serve_one_runs<W: Write>(
         f64::from(spec.bus_dgbps) / 10.0,
     );
     counters.busy_n.store(0, Ordering::Relaxed);
-    match outcome {
-        Ok(cell) => {
-            let rec = Record::Cell {
-                key: spec.cell_key(n),
-                cell: (*cell).clone(),
-            };
-            let done = encode_done(attempt, &rec.encode());
-            match net_fault {
-                Some(NetFault::ConnDrop) => {
-                    // The result is already durable in the shared
-                    // cache; dropping the connection here is exactly
-                    // the lost-result-frame scenario the dedup layer
-                    // must absorb.
-                    eprintln!("tlpsim worker: injected conn-drop at cell n={n} attempt {attempt}");
-                    std::process::exit(exit_code::FAULT_CONN_DROP);
-                }
-                Some(NetFault::PartialFrame) => {
-                    eprintln!(
-                        "tlpsim worker: injected partial frame at cell n={n} attempt {attempt}"
-                    );
-                    writer.send_torn(&done);
-                    std::process::exit(exit_code::FAULT_PARTIAL);
-                }
-                Some(NetFault::SlowPeer) => {
-                    eprintln!("tlpsim worker: injected slow-peer at cell n={n} attempt {attempt}");
-                    if !writer.send_trickled(&done, 7, Duration::from_millis(2)) {
-                        return false;
-                    }
-                    counters.cells_done.fetch_add(1, Ordering::Relaxed);
-                    true
-                }
-                Some(NetFault::HbLoss) | None => {
-                    counters.cells_done.fetch_add(1, Ordering::Relaxed);
-                    writer.send(&done)
-                }
-            }
+    let cell = match outcome {
+        Ok(cell) => cell,
+        Err(e) => {
+            let interrupted = matches!(e, SimError::Interrupted);
+            return writer.send(&encode_err(n, attempt, interrupted, &e.to_string()));
         }
-        Err(SimError::Interrupted) => writer.send(&encode_err(
-            n,
-            attempt,
-            true,
-            "interrupted; cell not computed",
-        )),
-        Err(e) => writer.send(&encode_err(n, attempt, false, &e.to_string())),
+    };
+    let rec = Record::Cell {
+        key: spec.cell_key(n),
+        cell: (*cell).clone(),
+    };
+    let done = encode_done(attempt, &rec.encode());
+    if torn {
+        eprintln!("tlpsim worker: injected torn write at cell n={n} attempt {attempt}");
+        writer.send_torn(&done);
+        std::process::exit(exit_code::FAULT_TORN);
+    }
+    match net_fault {
+        Some(NetFault::ConnDrop) => {
+            // The result is already durable in the shared cache;
+            // dropping the connection here is exactly the
+            // lost-result-frame scenario the dedup layer must absorb.
+            eprintln!("tlpsim worker: injected conn-drop at cell n={n} attempt {attempt}");
+            std::process::exit(exit_code::FAULT_CONN_DROP);
+        }
+        Some(NetFault::PartialFrame) => {
+            eprintln!("tlpsim worker: injected partial frame at cell n={n} attempt {attempt}");
+            writer.send_torn(&done);
+            std::process::exit(exit_code::FAULT_PARTIAL);
+        }
+        Some(NetFault::SlowPeer) => {
+            eprintln!("tlpsim worker: injected slow-peer at cell n={n} attempt {attempt}");
+            if !writer.send_trickled(&done, 7, Duration::from_millis(2)) {
+                return false;
+            }
+            counters.cells_done.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+        Some(NetFault::HbLoss) | None => {
+            counters.cells_done.fetch_add(1, Ordering::Relaxed);
+            writer.send(&done)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn request_round_trips() {
-        for req in [
-            Request::Run {
-                n: 12,
-                attempt: 2,
-                last: true,
-            },
-            Request::Run {
-                n: 1,
-                attempt: 0,
-                last: false,
-            },
-            Request::Exit,
-        ] {
-            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn malformed_requests_are_rejected() {
-        for bad in [
-            "",
-            "RUN",
-            "RUN 4",
-            "RUN 4 0",
-            "RUN 4 0 2",
-            "RUN x 0 1",
-            "RUN 4 y 1",
-            "RUN 4 0 1 extra",
-            "EXIT now",
-            "NOPE 1 2 3",
-        ] {
-            assert!(Request::decode(bad).is_err(), "accepted {bad:?}");
-        }
-    }
 
     #[test]
     fn err_reply_round_trips_with_spaces_and_newlines() {

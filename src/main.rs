@@ -25,7 +25,7 @@ use tlpsim::core::client::{self, ClientOptions};
 use tlpsim::core::configs;
 use tlpsim::core::ctx::{Cell, Ctx, WorkloadKind};
 use tlpsim::core::daemon::{self, DaemonOptions};
-use tlpsim::core::journal::Journal;
+use tlpsim::core::journal::{ckpt_dir_for, Journal};
 use tlpsim::core::mode::{self, SimMode};
 use tlpsim::core::serve::{serve_sweep, ServeOptions};
 use tlpsim::core::worker::FaultSpec;
@@ -82,15 +82,18 @@ USAGE:
   tlpsim serve <design> [--no-smt] [--bus16] [--sampled] [--workers <N>]
                [--journal <path>] [--pid-file <path>]
       Run the same sweep as `tlpsim sweep`, but supervised: cells are
-      fanned out to <N> worker OS processes (default 2), so a crashed,
-      killed or wedged worker is respawned and its cell retried (with
-      exponential backoff) instead of taking the sweep down. A cell
-      that fails 3 attempts is quarantined and the sweep completes
-      degraded (exit 4). The supervisor owns the journal; the printed
+      fanned out to <N> worker OS processes (default 2) that connect
+      back over loopback TCP, so a crashed, killed or wedged worker is
+      respawned and its cell retried (with exponential backoff) instead
+      of taking the sweep down. A cell that fails 3 attempts is
+      quarantined and the sweep completes degraded (exit 4). The
+      supervisor owns the journal; workers compute through a scratch
+      cache, <journal>.cells, deleted when serve returns. The printed
       table is byte-identical to `tlpsim sweep`. SIGINT/SIGTERM drains
-      gracefully: in-flight cells checkpoint (with TLPSIM_CKPT_CYCLES
-      set), workers exit 0, and a resume hint is printed.
-      --pid-file appends each spawned worker PID, one per line.
+      gracefully: in-flight cells checkpoint into <journal>.ckpt.d
+      (with TLPSIM_CKPT_CYCLES set), workers exit 0, and a resume hint
+      is printed. --pid-file appends each spawned worker PID, one per
+      line.
 
   tlpsim serve --daemon <addr> [--workers <N>] [--queue <path>]
                [--cache <path>] [--pid-file <path>] [--addr-file <path>]
@@ -173,25 +176,28 @@ ENVIRONMENT:
                  Override the stall watchdog window (simulated cycles,
                  default 3000000). A run that commits nothing for this
                  long aborts with a diagnostic snapshot.
-  TLPSIM_FAULT   Deterministic fault injection for serve workers, e.g.
+  TLPSIM_FAULT   Deterministic fault injection for the worker processes
+                 of `serve` and `serve --daemon`, e.g.
                  'crash:0.1,stall:0.05,torn-write:0.02,seed:7'. Faults
                  fire at worker cell boundaries, SplitMix64-seeded per
                  (cell, attempt), and are suppressed on a cell's final
                  attempt unless 'persist' is given — so injected
                  faults are transient and a chaos run still completes
-                 with zero quarantined cells. Four network fault
-                 classes exercise the daemon's framing layer the same
-                 way: 'conn-drop:P' (worker drops the TCP connection
-                 after computing, before sending — the result is
-                 already in the shared cache, so the retry is a cache
-                 hit, never a recompute), 'partial-frame:P' (half a
-                 DONE frame, then death — the checksum rejects it),
-                 'hb-loss:P' (worker goes silent without dying — the
-                 daemon's heartbeat supervision kills it), and
-                 'slow-peer:P' (the DONE frame trickles out a few
-                 bytes at a time — deadlines tolerate it, the accept
-                 loop never blocks). A malformed spec is a usage
-                 error at startup (exit 2).
+                 with zero quarantined cells. 'torn-write:P' computes
+                 the cell, sends half its DONE frame and exits 102;
+                 the checksum rejects the fragment, which counts as a
+                 rejected frame. Four network fault classes exercise
+                 the framing layer the same way: 'conn-drop:P' (worker
+                 drops the TCP connection after computing, before
+                 sending — the result is already in the shared cache,
+                 so the retry is a cache hit, never a recompute),
+                 'partial-frame:P' (like torn-write, but exit 105 and
+                 drawn from the network stream), 'hb-loss:P' (worker
+                 goes silent without dying — heartbeat supervision
+                 kills it), and 'slow-peer:P' (the DONE frame trickles
+                 out a few bytes at a time — deadlines tolerate it,
+                 the accept loop never blocks). A malformed spec is a
+                 usage error at startup (exit 2).
   TLPSIM_SERVE_SCALE
                  The simulation scale a daemon serves and a submit
                  client requests, as 'warmup,budget,parsec,seed'
@@ -343,14 +349,6 @@ fn cli_mode(args: &[String]) -> SimMode {
     })
 }
 
-/// The directory a sweep keeps its in-cell checkpoints in, derived from
-/// the journal path so sweep and resume agree without extra flags.
-fn ckpt_dir_for(journal_path: &Path) -> PathBuf {
-    let mut os = journal_path.as_os_str().to_os_string();
-    os.push(".ckpt.d");
-    PathBuf::from(os)
-}
-
 /// Print the sweep result table. Shared by `sweep`, `resume` and
 /// `serve`: the table is a pure function of the completed cells, so a
 /// resumed, served or chaos-ridden sweep prints byte-identically to a
@@ -451,7 +449,8 @@ fn run_sweep(journal: Journal, done: BTreeMap<usize, Cell>, journal_path: &Path)
 /// Drive a supervised multi-process sweep (DESIGN.md §13). Same journal
 /// discipline and same stdout table as [`run_sweep`], but cells run in
 /// worker OS processes under the full robustness policy (heartbeats,
-/// timeouts, retry/backoff, quarantine, graceful drain). Never returns.
+/// timeouts, retry/backoff, quarantine, graceful drain; in-flight cells
+/// checkpoint into the journal's checkpoint directory). Never returns.
 fn serve_run(
     journal: Journal,
     done: BTreeMap<usize, Cell>,
@@ -478,16 +477,7 @@ fn serve_run(
         eprintln!("tlpsim: cannot locate own binary for worker spawn: {e}");
         std::process::exit(EXIT_SIM_FAILED)
     });
-    let mut worker_cmd = vec![
-        exe.display().to_string(),
-        "__serve-worker".to_string(),
-        spec.header_line(),
-    ];
-    // Workers checkpoint in-flight cells exactly where sweep/resume
-    // would, so a drained serve resumes mid-cell like any other sweep.
-    if let Ok(Some(_)) = snapshot::interval_from_env() {
-        worker_cmd.push(ckpt_dir_for(journal_path).display().to_string());
-    }
+    let worker_cmd = vec![exe.display().to_string(), "__serve-worker".to_string()];
     let mut opts = ServeOptions::from_env(worker_cmd).unwrap_or_else(|e| {
         // validate_env already vetted these; unreachable in practice.
         eprintln!("tlpsim: {e}");
@@ -570,7 +560,7 @@ fn daemon_serve(args: &[String]) -> ! {
         std::process::exit(EXIT_USAGE)
     });
     if let Some(v) = flag_value(args, "--workers") {
-        opts.workers = v
+        opts.serve.workers = v
             .parse::<usize>()
             .ok()
             .filter(|&w| w > 0)
@@ -585,7 +575,7 @@ fn daemon_serve(args: &[String]) -> ! {
     if let Some(p) = flag_value(args, "--cache") {
         opts.cache_path = PathBuf::from(p);
     }
-    opts.pid_file = flag_value(args, "--pid-file").map(PathBuf::from);
+    opts.serve.pid_file = flag_value(args, "--pid-file").map(PathBuf::from);
     opts.addr_file = flag_value(args, "--addr-file").map(PathBuf::from);
 
     let outcome = daemon::run_daemon(&opts).unwrap_or_else(|e| sim_failed("daemon", e));
@@ -639,25 +629,20 @@ fn reset_sigpipe() {}
 fn main() {
     reset_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // Hidden worker entry point, spawned by `tlpsim serve`:
-    // `tlpsim __serve-worker <journal-header> [<ckpt-dir>]`. Dispatched
-    // before validate_env — the worker validates the env it actually
-    // uses and must not die on, say, a TLPSIM_TRACE typo mid-sweep.
+    // Hidden worker host entry point, spawned by `tlpsim serve` (with
+    // and without --daemon):
+    // `tlpsim __serve-worker --tcp <addr> <cache> [<ckpt-dir>]`.
+    // Dispatched before validate_env — the worker validates the env it
+    // actually uses and must not die on, say, a TLPSIM_TRACE typo
+    // mid-sweep.
     if args.first().is_some_and(|a| a == "__serve-worker") {
-        // TCP variant, spawned by `tlpsim serve --daemon`:
-        // `tlpsim __serve-worker --tcp <addr> <cache>`.
-        if args.get(1).is_some_and(|a| a == "--tcp") {
-            if args.len() != 4 {
-                usage();
-            }
-            std::process::exit(worker::worker_tcp_main(&args[2], &args[3]));
-        }
-        if args.len() < 2 || args.len() > 3 {
+        if args.get(1).map(String::as_str) != Some("--tcp") || !(4..=5).contains(&args.len()) {
             usage();
         }
-        std::process::exit(worker::worker_main(
-            &args[1],
-            args.get(2).map(String::as_str),
+        std::process::exit(worker::worker_tcp_main(
+            &args[2],
+            &args[3],
+            args.get(4).map(String::as_str),
         ));
     }
     validate_env();

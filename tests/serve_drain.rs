@@ -37,7 +37,6 @@ fn interrupt_drains_gracefully_and_the_journal_resumes() {
         worker_cmd: vec![
             env!("CARGO_BIN_EXE_tlpsim").to_string(),
             "__serve-worker".to_string(),
-            spec.header_line(),
         ],
         retry_base: Duration::from_millis(20),
         fault: FaultPolicy::Clear,

@@ -1,23 +1,24 @@
 //! End-to-end tests of the `tlpsim serve` supervisor/worker stack
 //! (DESIGN.md §13): real worker OS processes (the `__serve-worker`
-//! entry of the tlpsim binary), real pipes, real kills. Each test
-//! builds a journal whose header carries a tiny simulation scale, so
-//! the debug-build workers stay fast — the scale rides in the header
-//! exactly the way production scales do.
+//! entry of the tlpsim binary) connected over loopback TCP, real kills.
+//! Each test builds a journal whose header carries a tiny simulation
+//! scale, so the debug-build workers stay fast — the scale rides in
+//! every request exactly the way production scales do.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use tlpsim::core::ctx::{Cell, Ctx, WorkloadKind};
-use tlpsim::core::diskcache::{frame_payload, Record};
+use tlpsim::core::diskcache::Record;
 use tlpsim::core::journal::{Journal, SweepSpec};
 use tlpsim::core::mode::SimMode;
-use tlpsim::core::net::{FrameReader, MAX_FRAME};
+use tlpsim::core::net::{FramedConn, MAX_FRAME};
 use tlpsim::core::serve::{serve_sweep, FaultPolicy, ServeOptions};
-use tlpsim::core::worker::{encode_done, Request};
+use tlpsim::core::worker::{encode_done, encode_runs, EXIT};
 use tlpsim::core::{configs, interrupt, SimScale, SWEEP_COUNTS};
 
 /// Small enough for debug-build workers, big enough to exercise the
@@ -53,13 +54,12 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// Built from `Default`, not `from_env`, so ambient `TLPSIM_SERVE_*`
 /// variables cannot skew a test; fault policy defaults to `Clear` for
 /// the same reason (an exported `TLPSIM_FAULT` must not leak in).
-fn opts(spec: &SweepSpec) -> ServeOptions {
+fn opts() -> ServeOptions {
     ServeOptions {
         workers: 2,
         worker_cmd: vec![
             env!("CARGO_BIN_EXE_tlpsim").to_string(),
             "__serve-worker".to_string(),
-            spec.header_line(),
         ],
         retry_base: Duration::from_millis(20),
         fault: FaultPolicy::Clear,
@@ -95,7 +95,7 @@ fn serve_completes_and_matches_in_process_results() {
     let spec = tiny_spec();
     let journal = Journal::create(&jpath, spec.clone()).unwrap();
 
-    let out = serve_sweep(&journal, BTreeMap::new(), &opts(&spec)).expect("serve runs");
+    let out = serve_sweep(&journal, BTreeMap::new(), &opts()).expect("serve runs");
     assert!(!out.interrupted);
     assert!(out.quarantined.is_empty(), "{:?}", out.quarantined);
     assert_eq!(
@@ -141,7 +141,7 @@ fn transient_crash_faults_are_retried_never_quarantined() {
 
     // Every non-final attempt crashes; the final-attempt suppression
     // makes the fault transient by construction.
-    let mut o = opts(&spec);
+    let mut o = opts();
     o.fault = FaultPolicy::Spec("crash:1.0,seed:5".into());
     let done = all_but(&[1, 2, 4]);
     let out = serve_sweep(&journal, done, &o).expect("serve runs");
@@ -164,7 +164,7 @@ fn persistent_faults_exhaust_the_budget_and_quarantine() {
     let spec = tiny_spec();
     let journal = Journal::create(&jpath, spec.clone()).unwrap();
 
-    let mut o = opts(&spec);
+    let mut o = opts();
     o.fault = FaultPolicy::Spec("crash:1.0,persist,seed:1".into());
     let done = all_but(&[1, 2]);
     let out = serve_sweep(&journal, done, &o).expect("serve completes degraded, not Err");
@@ -194,7 +194,7 @@ fn stalled_worker_is_killed_by_heartbeat_loss_and_cell_retried() {
     let spec = tiny_spec();
     let journal = Journal::create(&jpath, spec.clone()).unwrap();
 
-    let mut o = opts(&spec);
+    let mut o = opts();
     o.workers = 1;
     o.fault = FaultPolicy::Spec("stall:1.0,seed:2".into());
     o.hb_interval = Duration::from_millis(50);
@@ -218,7 +218,7 @@ fn torn_result_write_is_rejected_by_checksum_and_retried() {
     let spec = tiny_spec();
     let journal = Journal::create(&jpath, spec.clone()).unwrap();
 
-    let mut o = opts(&spec);
+    let mut o = opts();
     o.fault = FaultPolicy::Spec("torn-write:1.0,seed:3".into());
     let done = all_but(&[1, 2]);
     let out = serve_sweep(&journal, done, &o).expect("serve runs");
@@ -244,7 +244,7 @@ fn externally_sigkilled_worker_is_respawned_and_sweep_completes() {
     let spec = tiny_spec();
     let journal = Journal::create(&jpath, spec.clone()).unwrap();
 
-    let mut o = opts(&spec);
+    let mut o = opts();
     o.workers = 1;
     o.pid_file = Some(pid_file.clone());
     let done = all_but(&[8, 12, 16, 24]);
@@ -290,45 +290,49 @@ fn externally_sigkilled_worker_is_respawned_and_sweep_completes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A worker host behind a bare listener standing in for the
+/// supervisor: an unterminated line over `MAX_FRAME` is dropped while it
+/// streams in, and the next request is still answered.
 #[test]
-fn pipe_worker_drops_an_oversized_line_and_answers_the_next_request() {
+fn worker_host_drops_an_oversized_line_and_answers_the_next_request() {
+    let dir = tmp_dir("oversized");
+    let cache = dir.join("cells.cache");
     let spec = tiny_spec();
-    let mut worker = Command::new(env!("CARGO_BIN_EXE_tlpsim"))
-        .args(["__serve-worker", &spec.header_line()])
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap().to_string();
+    let mut host = Command::new(env!("CARGO_BIN_EXE_tlpsim"))
+        .args(["__serve-worker", "--tcp", &addr, cache.to_str().unwrap()])
         .env_remove("TLPSIM_FAULT")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
+        .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("worker spawns");
+        .expect("worker host spawns");
     let stderr = {
-        let mut pipe = worker.stderr.take().unwrap();
+        let mut pipe = host.stderr.take().unwrap();
         std::thread::spawn(move || {
             let mut text = String::new();
             pipe.read_to_string(&mut text).map(|_| text)
         })
     };
-    let mut stdin = worker.stdin.take().unwrap();
-    let mut replies = FrameReader::new(worker.stdout.take().unwrap())
-        .filter(|f| !matches!(f, Ok(p) if p.starts_with("HB ")));
-    let hello = replies.next().expect("HELLO").expect("intact HELLO");
+    let (stream, _) = listener.accept().expect("worker host connects");
+    let mut conn = FramedConn::from_stream(stream, Duration::from_secs(60)).unwrap();
+    let hello = conn.recv().expect("intact HELLO");
     assert!(hello.starts_with("HELLO "), "{hello}");
 
-    // More than MAX_FRAME bytes before the line ends: the worker must
+    // More than MAX_FRAME bytes before the line ends: the host must
     // discard the line rather than buffer it, then serve the next frame.
-    stdin.write_all(&vec![b'x'; MAX_FRAME + 4096]).unwrap();
-    stdin.write_all(b"\n").unwrap();
-    let run = Request::Run {
-        n: 1,
-        attempt: 0,
-        last: true,
-    };
-    stdin
-        .write_all(frame_payload(&run.encode()).as_bytes())
+    let mut raw = conn.stream().try_clone().unwrap();
+    raw.write_all(&vec![b'x'; MAX_FRAME + 4096]).unwrap();
+    raw.write_all(b"\n").unwrap();
+    conn.send(&encode_runs(1, 0, true, &spec.header_line()))
         .unwrap();
-    stdin.flush().unwrap();
 
-    let reply = replies.next().expect("a reply").expect("intact reply");
+    let reply = loop {
+        let frame = conn.recv().expect("an intact reply");
+        if !frame.starts_with("HB ") {
+            break frame;
+        }
+    };
     let cell = Ctx::new(spec.scale)
         .mp_cell_bus(
             &configs::by_name(&spec.design).unwrap(),
@@ -344,14 +348,12 @@ fn pipe_worker_drops_an_oversized_line_and_answers_the_next_request() {
     };
     assert_eq!(reply, encode_done(0, &record.encode()));
 
-    stdin
-        .write_all(frame_payload(&Request::Exit.encode()).as_bytes())
-        .unwrap();
-    drop(stdin);
-    assert!(worker.wait().unwrap().success());
+    conn.send(EXIT).unwrap();
+    assert!(host.wait().unwrap().success());
     // The line was rejected for its length while it streamed in, not
     // buffered whole and then failed as a bad frame.
     let stderr = stderr.join().unwrap().unwrap();
     let cap = format!("frame exceeds the {MAX_FRAME}-byte cap");
     assert!(stderr.contains(&cap), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
