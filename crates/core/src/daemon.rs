@@ -57,28 +57,28 @@
 //! reconnect loop safe to fire blindly.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tlpsim_trace::CounterSnapshot;
 
 use crate::configs;
 use crate::ctx::{Cell, CellKey};
-use crate::diskcache::{lock_path_for, unframe, DiskCache, FileLock, Record};
+use crate::diskcache::{DiskCache, Record};
 use crate::error::SimError;
-use crate::executor::lock_unpoisoned;
+use crate::framedlog::{Durability, FramedLog, ReplayReport};
 use crate::interrupt;
 use crate::journal::{ckpt_dir_for, Journal, SweepSpec};
 use crate::net::{send_frame, FrameError, FrameReader};
 use crate::serve::{FaultPolicy, ServeOptions, ServeOutcome, ServeStats};
 use crate::worker::{decode_done, decode_err, encode_runs, EXIT, PROTOCOL_VERSION};
-use crate::{SimScale, SWEEP_COUNTS};
+use crate::{parse_positive, SimScale, SWEEP_COUNTS};
 
 /// Queue-file format version; bump on any layout change.
 pub const QUEUE_VERSION: u32 = 1;
@@ -151,18 +151,6 @@ pub fn scale_from_env() -> Result<Option<SimScale>, String> {
         Ok(v) if v.trim().is_empty() => Ok(None),
         Ok(v) => parse_scale(&v).map(Some),
     }
-}
-
-/// Parse a positive count (the pure half of `TLPSIM_SERVE_QUEUE_DEPTH`).
-///
-/// # Errors
-/// A diagnostic naming the variable.
-pub fn parse_positive(name: &str, v: &str) -> Result<u64, String> {
-    v.trim()
-        .parse::<u64>()
-        .ok()
-        .filter(|&x| x > 0)
-        .ok_or_else(|| format!("{name}={v:?} is not a positive count"))
 }
 
 impl DaemonOptions {
@@ -286,23 +274,11 @@ impl QRec {
     }
 }
 
-/// What replaying a queue file recovered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct QueueReplay {
-    /// Records replayed.
-    pub replayed: usize,
-    /// Intact frames that were not valid queue records.
-    pub rejected: usize,
-    /// Byte offset after torn-tail truncation, if that happened.
-    pub truncated_at: Option<u64>,
-}
-
 /// The persistent job queue: framed, checksummed, fsync'd appends —
 /// the journal discipline of [`crate::journal`] applied to job state.
 #[derive(Debug)]
 pub struct QueueFile {
-    file: Mutex<std::fs::File>,
-    lock_path: PathBuf,
+    log: FramedLog,
 }
 
 fn queue_header(scale: SimScale) -> String {
@@ -326,108 +302,34 @@ impl QueueFile {
     pub fn open(
         path: &Path,
         scale: SimScale,
-    ) -> Result<(QueueFile, Vec<QRec>, QueueReplay), SimError> {
-        let io = |e: std::io::Error| {
-            SimError::InvalidConfig(format!("cannot open queue {}: {e}", path.display()))
-        };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(io)?;
-            }
-        }
-        let lock_path = lock_path_for(path);
-        let _lock = FileLock::acquire(lock_path.clone());
+    ) -> Result<(QueueFile, Vec<QRec>, ReplayReport), SimError> {
         let header = queue_header(scale);
-
-        let mut text = String::new();
-        let existed = std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .is_ok();
-
-        let mut report = QueueReplay::default();
         let mut records = Vec::new();
-        if existed && !text.is_empty() {
-            let Some(first_nl) = text.find('\n') else {
-                return Err(SimError::InvalidConfig(format!(
-                    "queue {} has no complete header line",
-                    path.display()
-                )));
-            };
-            if text[..first_nl] != header {
-                return Err(SimError::InvalidConfig(format!(
-                    "queue {} belongs to a different daemon (header {:?}, expected {header:?})",
-                    path.display(),
-                    &text[..first_nl],
-                )));
-            }
-            let mut valid_end = (first_nl + 1) as u64;
-            let mut pos = first_nl + 1;
-            let mut tail_torn = false;
-            while pos < text.len() {
-                let Some(nl) = text[pos..].find('\n') else {
-                    tail_torn = true;
-                    break;
-                };
-                let line = &text[pos..pos + nl];
-                match unframe(line).map(QRec::decode) {
-                    Ok(Ok(rec)) => {
-                        records.push(rec);
-                        report.replayed += 1;
-                    }
-                    Ok(Err(_)) => report.rejected += 1,
-                    Err(_) => {
-                        tail_torn = true;
-                        break;
-                    }
-                }
-                pos += nl + 1;
-                valid_end = pos as u64;
-            }
-            if tail_torn {
-                report.truncated_at = Some(valid_end);
-            }
-        }
-
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(io)?;
-        if !existed || text.is_empty() {
-            file.set_len(0).map_err(io)?;
-            let mut f = &file;
-            f.write_all(format!("{header}\n").as_bytes()).map_err(io)?;
-            file.sync_data().map_err(io)?;
-        } else if let Some(end) = report.truncated_at {
-            file.set_len(end).map_err(io)?;
-        }
-        use std::io::Seek;
-        let mut f = &file;
-        f.seek(std::io::SeekFrom::End(0)).map_err(io)?;
-
-        Ok((
-            QueueFile {
-                file: Mutex::new(file),
-                lock_path,
+        let (log, report) = FramedLog::open(
+            path,
+            Some(&header),
+            Durability::Synced,
+            |first| match first {
+                Some(h) if h == header => Ok(true),
+                Some(h) => Err(format!(
+                    "belongs to a different daemon (header {h:?}, expected {header:?})"
+                )),
+                None => Err("has no complete header line".into()),
             },
-            records,
-            report,
-        ))
+            |payload| QRec::decode(payload).map(|r| records.push(r)).is_ok(),
+        )
+        .map_err(|e| {
+            SimError::InvalidConfig(format!("cannot open queue {}: {e}", path.display()))
+        })?;
+        Ok((QueueFile { log }, records, report))
     }
 
     /// Durably append one record: framed `write_all` + `sync_data`
-    /// under the advisory lock. After this returns, the transition
+    /// under the file's lock. After this returns, the transition
     /// survives SIGKILL — which is why `ACCEPTED` is only sent *after*
     /// this returns for the `QJOB`.
     pub fn append(&self, rec: &QRec) {
-        let line = crate::diskcache::frame_payload(&rec.encode());
-        let _lock = FileLock::acquire(self.lock_path.clone());
-        let mut f = lock_unpoisoned(&self.file);
-        use std::io::Seek;
-        let _ = f.seek(std::io::SeekFrom::End(0));
-        let _ = f.write_all(line.as_bytes());
-        let _ = f.sync_data();
+        let _ = self.log.append(&rec.encode());
     }
 }
 
@@ -1752,6 +1654,43 @@ mod tests {
             QueueFile::open(&path, other),
             Err(SimError::InvalidConfig(_))
         ));
+        let (_q, recs, _) = QueueFile::open(&path, scale).unwrap();
+        assert_eq!(recs.len(), 2, "a refused open leaves the file untouched");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn queue_file_keeps_intact_jobs_before_a_non_utf8_tail() {
+        let dir = std::env::temp_dir().join(format!("tlpsim-queue-utf8-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("daemon.queue");
+        let _ = std::fs::remove_file(&path);
+        let scale = SimScale::quick();
+        let job = |id, token: &str| QRec::Job {
+            id,
+            token: token.into(),
+            header: spec().header_line(),
+        };
+
+        let (q, _, _) = QueueFile::open(&path, scale).unwrap();
+        q.append(&job(1, "tabc"));
+        let intact = std::fs::metadata(&path).unwrap().len();
+        q.append(&job(2, "jöb"));
+        drop(q);
+        // Tear the last QJOB inside the two-byte `ö` of its token.
+        let bytes = std::fs::read(&path).unwrap();
+        let o = bytes.iter().rposition(|&b| b == 0xC3).unwrap();
+        std::fs::write(&path, &bytes[..=o]).unwrap();
+
+        let (q, recs, rep) = QueueFile::open(&path, scale).unwrap();
+        assert_eq!(recs, vec![job(1, "tabc")], "intact job 1 must survive");
+        assert_eq!(rep.truncated_at, Some(intact));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), intact);
+        q.append(&QRec::Done { id: 1 });
+        drop(q);
+        let (_q, recs, rep) = QueueFile::open(&path, scale).unwrap();
+        assert_eq!(recs, vec![job(1, "tabc"), QRec::Done { id: 1 }]);
+        assert_eq!(rep.truncated_at, None, "repaired file is clean");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

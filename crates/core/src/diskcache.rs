@@ -1,37 +1,28 @@
 //! The hardened on-disk result cache (DESIGN.md §7).
 //!
 //! Separate bench processes share simulation work through one
-//! append-only text file (`TLPSIM_CACHE`). The seed implementation
-//! trusted that file blindly; this module makes it safe to share:
+//! append-only text file (`TLPSIM_CACHE`), a framed log
+//! ([`crate::framedlog`]) that replays up to the first bad record,
+//! truncates a torn tail and locks the file for each replay or append.
+//! The cache adds two policies:
 //!
 //! * **versioned header** — `TLPSIM-CACHE v3 <warmup> <budget>
 //!   <parsec_phase> <seed>`; any mismatch (old version, different
 //!   scale) truncates and starts fresh;
-//! * **framed records** — every record line is
-//!   `<fnv1a64-hex> <payload-len> <payload>`, so torn writes and bit
-//!   rot are detected by length + checksum, never replayed;
-//! * **corrupt-tail recovery** — replay stops at the first bad frame,
-//!   the file is truncated back to the last good record, and the
-//!   process continues (the lost cells are simply re-simulated);
 //! * **strict payload decoding** — a record whose key fields do not
-//!   parse is rejected (counted in the [`LoadReport`]) instead of being
-//!   replayed under a bogus-but-valid key;
-//! * **advisory locking** — a `<path>.lock` file serializes the
-//!   open/replay/truncate sequence and individual appends across
-//!   concurrent bench processes, so partial records never interleave.
+//!   parse is rejected (counted in the [`ReplayReport`]) instead of
+//!   being replayed under a bogus-but-valid key.
 //!
 //! Round-trip guarantee: [`Record::encode`] output always decodes via
 //! [`Record::decode`] to an equal value (property-tested in
 //! `crates/core/tests/resilience.rs`).
 
-use std::io::{Read, Seek, Write};
-use std::path::{Path, PathBuf};
-use std::sync::Mutex;
-use std::time::Duration;
+use std::path::Path;
 
 use tlpsim_power::CoreKind;
 
 use crate::ctx::{Cell, CellKey, ParsecKey, ParsecOutcome, WorkloadKind};
+use crate::framedlog::{Durability, FramedLog, ReplayReport};
 use crate::mode::SimMode;
 use crate::SimScale;
 
@@ -258,177 +249,12 @@ impl Record {
             None => Err("empty payload".into()),
         }
     }
-
-    /// The full framed line (checksum, length, payload), newline
-    /// included: the unit of torn-write detection.
-    pub fn frame(&self) -> String {
-        frame_payload(&self.encode())
-    }
-}
-
-/// Frame an arbitrary payload as one checksummed line (newline
-/// included): `<fnv1a64-hex> <len> <payload>\n`. This framing is shared
-/// by the disk cache, the sweep journal, and the `tlpsim serve`
-/// supervisor↔worker and daemon↔client protocols — one torn-write
-/// detector for all three. Inverse of [`unframe`].
-pub fn frame_payload(payload: &str) -> String {
-    format!(
-        "{:016x} {} {payload}\n",
-        fnv1a64(payload.as_bytes()),
-        payload.len()
-    )
-}
-
-/// Parse one framed line (without trailing newline) back into its
-/// payload, verifying length and checksum.
-pub fn unframe(line: &str) -> Result<&str, String> {
-    let (sum, rest) = line.split_once(' ').ok_or("missing checksum field")?;
-    let (len, payload) = rest.split_once(' ').ok_or("missing length field")?;
-    let sum = u64::from_str_radix(sum, 16).map_err(|_| format!("bad checksum {sum:?}"))?;
-    let len: usize = len.parse().map_err(|_| format!("bad length {len:?}"))?;
-    if payload.len() != len {
-        return Err(format!(
-            "length mismatch: frame says {len}, got {}",
-            payload.len()
-        ));
-    }
-    let actual = fnv1a64(payload.as_bytes());
-    if actual != sum {
-        return Err(format!(
-            "checksum mismatch: frame says {sum:016x}, got {actual:016x}"
-        ));
-    }
-    Ok(payload)
-}
-
-/// What happened while replaying an existing cache file.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LoadReport {
-    /// Records replayed successfully.
-    pub replayed: usize,
-    /// Frames whose checksum passed but whose payload was semantically
-    /// invalid (skipped, kept on disk).
-    pub rejected: usize,
-    /// Byte offset the file was truncated to after a corrupt or torn
-    /// tail, if that happened.
-    pub truncated_at: Option<u64>,
-    /// The header did not match (missing, wrong version, or different
-    /// scale) and the file was started fresh.
-    pub fresh: bool,
-}
-
-/// RAII advisory lock: a `create_new`-created lock file next to the
-/// cache. Lost locks (crashed holder) are stolen after
-/// [`STALE_LOCK`]; if the lock cannot be acquired within
-/// [`LOCK_TIMEOUT`] we proceed unlocked — it is advisory, and a wedged
-/// peer must not deadlock every bench process on the host. Shared with
-/// the sweep journal (`crate::journal`), which appends under the same
-/// discipline.
-pub(crate) struct FileLock {
-    path: Option<PathBuf>,
-}
-
-/// Age after which a lock file is considered abandoned.
-const STALE_LOCK: Duration = Duration::from_secs(30);
-/// How long to wait for a peer before proceeding unlocked.
-const LOCK_TIMEOUT: Duration = Duration::from_secs(2);
-
-impl FileLock {
-    pub(crate) fn acquire(path: PathBuf) -> FileLock {
-        let deadline = std::time::Instant::now() + LOCK_TIMEOUT;
-        loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut f) => {
-                    let _ = write!(f, "{}", std::process::id());
-                    return FileLock { path: Some(path) };
-                }
-                Err(_) => {
-                    // Reclaim locks whose recorded holder is dead — a
-                    // SIGKILLed worker never runs its Drop, and waiting
-                    // out STALE_LOCK for every append would crawl.
-                    if let Some(pid) = holder_pid(&path) {
-                        if !process_alive(pid) {
-                            eprintln!(
-                                "tlpsim: reclaiming lock {} held by dead process {pid}",
-                                path.display()
-                            );
-                            let _ = std::fs::remove_file(&path);
-                            continue;
-                        }
-                    }
-                    // Fallback: steal locks abandoned long enough ago
-                    // (garbage content, or a recycled PID still alive).
-                    if let Ok(meta) = std::fs::metadata(&path) {
-                        let stale = meta
-                            .modified()
-                            .ok()
-                            .and_then(|m| m.elapsed().ok())
-                            .is_some_and(|age| age > STALE_LOCK);
-                        if stale {
-                            let _ = std::fs::remove_file(&path);
-                            continue;
-                        }
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        return FileLock { path: None };
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-    }
-}
-
-/// The PID recorded in a lock file, if its content parses as one. Our
-/// own PID reads as "held by a live process" just like any peer's.
-fn holder_pid(path: &Path) -> Option<u32> {
-    std::fs::read_to_string(path)
-        .ok()?
-        .trim()
-        .parse::<u32>()
-        .ok()
-}
-
-/// Is a process with this PID still running? Uses `kill(pid, 0)`: 0 or
-/// EPERM means alive, ESRCH means gone. Off Unix we cannot tell, so we
-/// answer "alive" and leave staleness to the mtime heuristic.
-#[cfg(unix)]
-fn process_alive(pid: u32) -> bool {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    let Ok(pid) = i32::try_from(pid) else {
-        return true;
-    };
-    if unsafe { kill(pid, 0) } == 0 {
-        return true;
-    }
-    const ESRCH: i32 = 3;
-    std::io::Error::last_os_error().raw_os_error() != Some(ESRCH)
-}
-
-#[cfg(not(unix))]
-fn process_alive(_pid: u32) -> bool {
-    true
-}
-
-impl Drop for FileLock {
-    fn drop(&mut self) {
-        if let Some(p) = self.path.take() {
-            let _ = std::fs::remove_file(p);
-        }
-    }
 }
 
 /// The cross-process result cache file.
 #[derive(Debug)]
 pub struct DiskCache {
-    file: Mutex<std::fs::File>,
-    lock_path: PathBuf,
+    log: FramedLog,
 }
 
 fn header_line(scale: SimScale) -> String {
@@ -450,119 +276,30 @@ impl DiskCache {
     pub fn open(
         scale: SimScale,
         path: &Path,
-    ) -> std::io::Result<(DiskCache, Vec<Record>, LoadReport)> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let lock_path = lock_path_for(path);
-        let _lock = FileLock::acquire(lock_path.clone());
-
-        let mut report = LoadReport::default();
-        let mut records = Vec::new();
+    ) -> std::io::Result<(DiskCache, Vec<Record>, ReplayReport)> {
         let header = header_line(scale);
-
-        let mut text = String::new();
-        if let Ok(mut f) = std::fs::File::open(path) {
-            // Non-UTF8 content is unrecoverable corruption: start fresh.
-            if f.read_to_string(&mut text).is_err() {
-                text.clear();
-            }
-        }
-
-        // `valid_end` tracks the byte offset after the last good line.
-        let mut valid_end: u64 = 0;
-        let mut fresh = true;
-        if let Some(first_nl) = text.find('\n') {
-            if text[..first_nl] == header {
-                fresh = false;
-                valid_end = (first_nl + 1) as u64;
-                let mut pos = first_nl + 1;
-                let mut tail_corrupt = false;
-                while pos < text.len() {
-                    let Some(nl) = text[pos..].find('\n') else {
-                        // Torn final write: no newline terminator.
-                        tail_corrupt = true;
-                        break;
-                    };
-                    let line = &text[pos..pos + nl];
-                    match unframe(line) {
-                        Ok(payload) => match Record::decode(payload) {
-                            Ok(rec) => {
-                                records.push(rec);
-                                report.replayed += 1;
-                            }
-                            Err(_) => report.rejected += 1,
-                        },
-                        Err(_) => {
-                            tail_corrupt = true;
-                            break;
-                        }
-                    }
-                    pos += nl + 1;
-                    valid_end = pos as u64;
-                }
-                if tail_corrupt {
-                    report.truncated_at = Some(valid_end);
-                }
-            }
-        }
-        report.fresh = fresh;
-
-        // truncate(false): existing content is kept — fresh starts and
-        // tail repairs truncate explicitly via set_len below.
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(path)?;
-        if fresh {
-            file.set_len(0)?;
-            let mut f = &file;
-            f.write_all(format!("{header}\n").as_bytes())?;
-        } else if report.truncated_at.is_some() {
-            file.set_len(valid_end)?;
-        }
-        // Position at the end for appends (O_APPEND semantics are
-        // emulated by seeking under the advisory lock).
-        let mut f = &file;
-        f.seek(std::io::SeekFrom::End(0))?;
-
-        Ok((
-            DiskCache {
-                file: Mutex::new(file),
-                lock_path,
-            },
-            records,
-            report,
-        ))
+        let mut records = Vec::new();
+        let (log, report) = FramedLog::open(
+            path,
+            Some(&header),
+            Durability::Flushed,
+            |first| Ok(first == Some(header.as_str())),
+            |payload| Record::decode(payload).map(|r| records.push(r)).is_ok(),
+        )?;
+        Ok((DiskCache { log }, records, report))
     }
 
-    /// Append one record as a framed line. Takes the advisory lock so
-    /// concurrent bench processes never interleave partial records, and
-    /// writes the whole line with a single `write_all`.
+    /// Append one record as a framed line. A record the disk refuses is
+    /// dropped: whoever misses it simply re-simulates the cell.
     pub fn append(&self, rec: &Record) {
-        let line = rec.frame();
-        let _lock = FileLock::acquire(self.lock_path.clone());
-        let mut f = crate::executor::lock_unpoisoned(&self.file);
-        // Re-seek: another process may have appended since our last write.
-        let _ = f.seek(std::io::SeekFrom::End(0));
-        let _ = f.write_all(line.as_bytes());
-        let _ = f.flush();
+        let _ = self.log.append(&rec.encode());
     }
-}
-
-/// The advisory lock path for a cache file.
-pub fn lock_path_for(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_os_string();
-    os.push(".lock");
-    PathBuf::from(os)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::framedlog::{frame_payload, unframe};
 
     fn sample_cell() -> Record {
         Record::Cell {
@@ -593,14 +330,14 @@ mod tests {
     #[test]
     fn frame_and_unframe_round_trip() {
         let rec = sample_cell();
-        let line = rec.frame();
+        let line = frame_payload(&rec.encode());
         let payload = unframe(line.trim_end_matches('\n')).expect("frame is valid");
         assert_eq!(Record::decode(payload).expect("decodes"), rec);
     }
 
     #[test]
     fn unframe_rejects_flipped_bits() {
-        let line = sample_cell().frame();
+        let line = frame_payload(&sample_cell().encode());
         let line = line.trim_end_matches('\n');
         // Flip one character somewhere in the payload.
         let mut bad: Vec<u8> = line.bytes().collect();
@@ -632,73 +369,5 @@ mod tests {
         assert!(Record::decode("ISO 3 Z 1.5").is_err());
         assert!(Record::decode("").is_err());
         assert!(Record::decode("BOGUS 1 2 3").is_err());
-    }
-
-    #[test]
-    fn frame_payload_matches_record_frame() {
-        let rec = sample_cell();
-        assert_eq!(rec.frame(), frame_payload(&rec.encode()));
-        let line = frame_payload("HELLO 1234 1");
-        assert!(line.ends_with('\n'));
-        assert_eq!(unframe(line.trim_end()).unwrap(), "HELLO 1234 1");
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn dead_holder_lock_is_reclaimed_fast() {
-        let dir = std::env::temp_dir().join(format!("tlpsim-deadlock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let lp = lock_path_for(&dir.join("cache.txt"));
-        // A just-reaped child's PID is as close to "dead but plausibly
-        // recorded" as a test can get.
-        let mut child = std::process::Command::new("true").spawn().unwrap();
-        let dead_pid = child.id();
-        child.wait().unwrap();
-        std::fs::write(&lp, dead_pid.to_string()).unwrap();
-        let t0 = std::time::Instant::now();
-        let l = FileLock::acquire(lp.clone());
-        // Well under STALE_LOCK/LOCK_TIMEOUT: the PID check reclaimed it.
-        assert!(
-            t0.elapsed() < Duration::from_secs(1),
-            "reclaim took {:?}",
-            t0.elapsed()
-        );
-        assert_eq!(
-            holder_pid(&lp),
-            Some(std::process::id()),
-            "lock now records the reclaiming process"
-        );
-        drop(l);
-        assert!(!lp.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    #[cfg(unix)]
-    fn live_holder_lock_is_not_reclaimed_by_pid_check() {
-        let dir = std::env::temp_dir().join(format!("tlpsim-livelock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let lp = lock_path_for(&dir.join("cache.txt"));
-        // Our own PID is definitely alive.
-        std::fs::write(&lp, std::process::id().to_string()).unwrap();
-        assert!(process_alive(std::process::id()));
-        // Not a full acquire (that would wait out LOCK_TIMEOUT); just
-        // the liveness primitive the reclaim path gates on.
-        assert_eq!(holder_pid(&lp), Some(std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lock_is_exclusive_and_released() {
-        let dir = std::env::temp_dir().join(format!("tlpsim-lock-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("cache.txt");
-        let lp = lock_path_for(&p);
-        {
-            let _l = FileLock::acquire(lp.clone());
-            assert!(lp.exists());
-        }
-        assert!(!lp.exists(), "lock must be released on drop");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

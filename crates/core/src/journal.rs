@@ -18,25 +18,24 @@
 //!   (v2 added the simulation-mode token — a sampled sweep and an exact
 //!   sweep are different experiments and must never share a journal);
 //! * records — the disk cache's framed [`Record::Cell`] lines
-//!   (`<fnv1a64> <len> <payload>`), one per completed cell;
-//! * torn tail — a crash mid-append leaves a half-written last line;
-//!   replay stops at the first bad frame and truncates back to the
-//!   last good record (the lost cell is simply re-simulated);
+//!   (`<fnv1a64> <len> <payload>`), one per completed cell, in a
+//!   framed log ([`crate::framedlog`]): a crash mid-append leaves a torn last line, which
+//!   replay truncates back to the last good record (the lost cell is
+//!   simply re-simulated);
 //! * a record whose key does not match the header (foreign design,
 //!   different SMT mode...) is rejected and counted, never trusted.
 //!
 //! Unlike the disk cache, a header mismatch is an *error*, not a
 //! fresh start: resuming someone else's journal must fail loudly.
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
-use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use crate::ctx::{Cell, CellKey, WorkloadKind};
-use crate::diskcache::{lock_path_for, unframe, FileLock, Record};
+use crate::diskcache::Record;
 use crate::error::SimError;
-use crate::executor::lock_unpoisoned;
+use crate::framedlog::{Durability, FramedLog, ReplayReport};
 use crate::mode::SimMode;
 use crate::SimScale;
 
@@ -171,22 +170,10 @@ impl SweepSpec {
     }
 }
 
-/// What replaying a journal recovered.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ReplayReport {
-    /// Cells recovered (also the size of the returned map).
-    pub recovered: usize,
-    /// Intact frames whose record did not belong to this sweep.
-    pub rejected: usize,
-    /// Byte offset the file was truncated to after a torn tail, if
-    /// that happened.
-    pub truncated_at: Option<u64>,
-}
-
 /// An open sweep journal, ready to append completed cells.
 #[derive(Debug)]
 pub struct Journal {
-    file: Mutex<std::fs::File>,
+    log: FramedLog,
     path: PathBuf,
     spec: SweepSpec,
 }
@@ -218,26 +205,18 @@ impl Journal {
     /// [`SimError::InvalidConfig`] on I/O failure — a sweep asked to
     /// journal must not run unjournaled.
     pub fn create(path: &Path, spec: SweepSpec) -> Result<Journal, SimError> {
-        let io = |e: std::io::Error| {
+        let (log, _) = FramedLog::open(
+            path,
+            Some(&spec.header_line()),
+            Durability::Synced,
+            |_| Ok(false),
+            |_| true,
+        )
+        .map_err(|e| {
             SimError::InvalidConfig(format!("cannot create journal {}: {e}", path.display()))
-        };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).map_err(io)?;
-            }
-        }
-        let _lock = FileLock::acquire(lock_path_for(path));
-        let mut file = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(path)
-            .map_err(io)?;
-        file.write_all(format!("{}\n", spec.header_line()).as_bytes())
-            .map_err(io)?;
-        file.sync_data().map_err(io)?;
+        })?;
         Ok(Journal {
-            file: Mutex::new(file),
+            log,
             path: path.to_path_buf(),
             spec,
         })
@@ -257,75 +236,37 @@ impl Journal {
     pub fn open(
         path: &Path,
     ) -> Result<(Journal, SweepSpec, BTreeMap<usize, Cell>, ReplayReport), SimError> {
-        let io = |e: std::io::Error| {
-            SimError::InvalidConfig(format!("cannot open journal {}: {e}", path.display()))
-        };
-        let _lock = FileLock::acquire(lock_path_for(path));
-
-        let mut text = String::new();
-        std::fs::File::open(path)
-            .and_then(|mut f| f.read_to_string(&mut text))
-            .map_err(io)?;
-
-        let Some(first_nl) = text.find('\n') else {
-            return Err(SimError::InvalidConfig(format!(
-                "journal {} has no complete header line",
-                path.display()
-            )));
-        };
-        let spec = SweepSpec::parse_header(&text[..first_nl])
-            .map_err(|why| SimError::InvalidConfig(format!("journal {}: {why}", path.display())))?;
-
-        let mut report = ReplayReport::default();
-        let mut done: BTreeMap<usize, Cell> = BTreeMap::new();
-        let mut valid_end = (first_nl + 1) as u64;
-        let mut pos = first_nl + 1;
-        let mut tail_torn = false;
-        while pos < text.len() {
-            let Some(nl) = text[pos..].find('\n') else {
-                tail_torn = true; // torn final append: no terminator
-                break;
-            };
-            let line = &text[pos..pos + nl];
-            match unframe(line).map(Record::decode) {
-                Ok(Ok(Record::Cell { key, cell })) if key == spec.cell_key(key.n) => {
-                    done.insert(key.n, cell);
-                }
-                Ok(_) => report.rejected += 1, // intact but foreign
-                Err(_) => {
-                    tail_torn = true;
-                    break;
-                }
-            }
-            pos += nl + 1;
-            valid_end = pos as u64;
-        }
-        report.recovered = done.len();
-        if tail_torn {
-            report.truncated_at = Some(valid_end);
-        }
-
-        let file = std::fs::OpenOptions::new()
-            .truncate(false)
-            .write(true)
-            .open(path)
-            .map_err(io)?;
-        if tail_torn {
-            file.set_len(valid_end).map_err(io)?;
-        }
-        let mut f = &file;
-        f.seek(std::io::SeekFrom::End(0)).map_err(io)?;
-
-        Ok((
-            Journal {
-                file: Mutex::new(file),
-                path: path.to_path_buf(),
-                spec: spec.clone(),
+        let spec = OnceCell::new();
+        let mut done = BTreeMap::new();
+        let (log, report) = FramedLog::open(
+            path,
+            None,
+            Durability::Synced,
+            |first| {
+                let first = first.ok_or("no complete header line")?;
+                let _ = spec.set(SweepSpec::parse_header(first)?);
+                Ok(true)
             },
-            spec,
-            done,
-            report,
-        ))
+            |payload| match Record::decode(payload) {
+                Ok(Record::Cell { key, cell })
+                    if spec.get().is_some_and(|s| key == s.cell_key(key.n)) =>
+                {
+                    done.insert(key.n, cell);
+                    true
+                }
+                _ => false, // intact but foreign
+            },
+        )
+        .map_err(|e| {
+            SimError::InvalidConfig(format!("cannot open journal {}: {e}", path.display()))
+        })?;
+        let spec = spec.into_inner().expect("a replayed journal has a header");
+        let journal = Journal {
+            log,
+            path: path.to_path_buf(),
+            spec: spec.clone(),
+        };
+        Ok((journal, spec, done, report))
     }
 
     /// The spec this journal was created (or opened) with.
@@ -339,29 +280,27 @@ impl Journal {
     }
 
     /// Durably append one completed cell: a single framed `write_all`
-    /// followed by `sync_data`, under the advisory file lock. After
-    /// this returns, the cell survives SIGKILL and power loss short of
+    /// followed by `sync_data`, under the file's lock. After this
+    /// returns, the cell survives SIGKILL and power loss short of
     /// device failure — the write-ahead property `resume` relies on.
     pub fn record(&self, n: usize, cell: &Cell) {
         let rec = Record::Cell {
             key: self.spec.cell_key(n),
             cell: cell.clone(),
         };
-        let line = rec.frame();
-        let _lock = FileLock::acquire(lock_path_for(&self.path));
-        let mut f = lock_unpoisoned(&self.file);
-        let _ = f.seek(std::io::SeekFrom::End(0));
-        let _ = f.write_all(line.as_bytes());
         // The disk cache merely flushes (a lost record is re-simulated
         // from the other process's copy); the journal is the *only*
         // copy of hours of work, so it pays for the fsync.
-        let _ = f.sync_data();
+        let _ = self.log.append(&rec.encode());
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     use super::*;
+    use crate::framedlog::frame_payload;
 
     fn tmp(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tlpsim-journal-{tag}-{}", std::process::id()));
@@ -397,7 +336,7 @@ mod tests {
         drop(j);
         let (_j, s, done, report) = Journal::open(&p).unwrap();
         assert_eq!(s, spec());
-        assert_eq!(report.recovered, 2);
+        assert_eq!(report.replayed, 2);
         assert_eq!(report.rejected, 0);
         assert_eq!(report.truncated_at, None);
         assert_eq!(done.len(), 2);
@@ -430,6 +369,33 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_tail_is_truncated_and_appendable() {
+        let p = tmp("utf8");
+        let j = Journal::create(&p, spec()).unwrap();
+        j.record(1, &cell(1));
+        let intact = std::fs::metadata(&p).unwrap().len();
+        j.record(2, &cell(2));
+        drop(j);
+        // One high bit set in the last record's payload: that line is
+        // no longer UTF-8, and it is the only line that may be lost.
+        let mut bytes = std::fs::read(&p).unwrap();
+        let at = bytes.len() - 4;
+        bytes[at] |= 0x80;
+        std::fs::write(&p, &bytes).unwrap();
+        let (j, _s, done, report) = Journal::open(&p).unwrap();
+        assert_eq!(done.keys().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(done[&1], cell(1));
+        assert_eq!(report.truncated_at, Some(intact));
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), intact);
+        j.record(2, &cell(2));
+        drop(j);
+        let (_j, _s, done, report) = Journal::open(&p).unwrap();
+        assert_eq!(done.len(), 2);
+        assert_eq!(report.truncated_at, None, "repaired file is clean");
+        let _ = std::fs::remove_dir_all(p.parent().unwrap());
+    }
+
+    #[test]
     fn foreign_records_are_rejected_not_trusted() {
         let p = tmp("foreign");
         let j = Journal::create(&p, spec()).unwrap();
@@ -443,7 +409,8 @@ mod tests {
             cell: cell(8),
         };
         let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-        f.write_all(foreign.frame().as_bytes()).unwrap();
+        f.write_all(frame_payload(&foreign.encode()).as_bytes())
+            .unwrap();
         drop(f);
         let (_j, _s, done, report) = Journal::open(&p).unwrap();
         assert_eq!(done.len(), 1, "foreign cell must not count as done");
@@ -473,6 +440,10 @@ mod tests {
             Journal::open(&p.with_extension("missing")),
             Err(SimError::InvalidConfig(_))
         ));
+        assert!(
+            !p.with_extension("missing").exists(),
+            "open creates nothing"
+        );
         let _ = std::fs::remove_dir_all(p.parent().unwrap());
     }
 
@@ -512,7 +483,8 @@ mod tests {
             cell: cell(8),
         };
         let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-        f.write_all(exact_rec.frame().as_bytes()).unwrap();
+        f.write_all(frame_payload(&exact_rec.encode()).as_bytes())
+            .unwrap();
         drop(f);
         let (_j, s, done, report) = Journal::open(&p).unwrap();
         assert_eq!(s.mode, SimMode::sampled_default());

@@ -46,6 +46,7 @@ pub mod dynamic;
 pub mod error;
 pub mod executor;
 pub mod experiments;
+pub mod framedlog;
 pub mod interrupt;
 pub mod journal;
 pub mod metrics;
@@ -100,10 +101,18 @@ impl SimScale {
     }
 }
 
-impl Default for SimScale {
-    fn default() -> Self {
-        Self::standard()
-    }
+/// Parse the value of environment variable `name` as a positive count
+/// (surrounding whitespace allowed).
+///
+/// # Errors
+/// A diagnostic naming the variable and quoting the value when it is
+/// zero, not a number, or beyond `u64`.
+pub fn parse_positive(name: &str, v: &str) -> Result<u64, String> {
+    v.trim()
+        .parse::<u64>()
+        .ok()
+        .filter(|&x| x > 0)
+        .ok_or_else(|| format!("{name}={v:?} is not a positive count"))
 }
 
 /// The thread counts at which sweep experiments sample the 1..=24

@@ -2,7 +2,7 @@
 //!
 //! The supervisor, its worker hosts, and every daemon client speak the
 //! same line-oriented framed protocol the disk cache and journal use on
-//! disk: `<fnv1a64-hex> <len> <payload>\n` ([`crate::diskcache`]).
+//! disk: `<fnv1a64-hex> <len> <payload>\n` ([`crate::framedlog`]).
 //! This module owns the pieces that only exist once a network is
 //! involved:
 //!
@@ -34,7 +34,7 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::diskcache::{frame_payload, unframe};
+use crate::framedlog::{frame_payload, unframe};
 
 /// Hard cap on one frame's wire length, terminator included. Generous
 /// (the largest real payload — a CELL record — is under 2 KiB) but

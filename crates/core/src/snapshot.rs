@@ -134,13 +134,7 @@ pub fn interval_from_env() -> Result<Option<u64>, String> {
     match std::env::var("TLPSIM_CKPT_CYCLES") {
         Err(_) => Ok(None),
         Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .filter(|&n| n > 0)
-            .map(Some)
-            .ok_or_else(|| format!("TLPSIM_CKPT_CYCLES={v:?} is not a positive cycle count")),
+        Ok(v) => crate::parse_positive("TLPSIM_CKPT_CYCLES", &v).map(Some),
     }
 }
 

@@ -7,7 +7,7 @@
 //! requests, simulates them with the ordinary [`Ctx`] machinery, and
 //! writes framed replies. The wire format reuses the disk-cache/journal
 //! framing (`<fnv1a64> <len> <payload>`, one frame per line — see
-//! [`crate::diskcache`]), so a torn or corrupted frame is detected by
+//! [`crate::framedlog`]), so a torn or corrupted frame is detected by
 //! the supervisor exactly the way a torn journal record is.
 //!
 //! Wire protocol (one framed payload per line):
@@ -96,7 +96,7 @@ use tlpsim_trace::CounterSnapshot;
 use tlpsim_workloads::SplitMix64;
 
 use crate::configs;
-use crate::ctx::Ctx;
+use crate::ctx::{watchdog_from_env, Ctx};
 use crate::diskcache::Record;
 use crate::error::SimError;
 use crate::executor::lock_unpoisoned;
@@ -508,9 +508,30 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> 
             return exit_code::USAGE;
         }
     };
+    let watchdog = match watchdog_from_env() {
+        Ok(cycles) => cycles,
+        Err(why) => {
+            eprintln!("tlpsim worker: {why}");
+            return exit_code::USAGE;
+        }
+    };
     let ckpt = match (ckpt_dir, snapshot::interval_from_env()) {
         (Some(dir), Ok(Some(every))) => Some((PathBuf::from(dir), every)),
         _ => None,
+    };
+    // A fresh context per request: replaying the shared cache is what
+    // turns a retried-but-already-computed cell into a memo hit, and a
+    // fresh compute appends to the cache *before* we reply (write-ahead
+    // for results) because Ctx persists at compute time. The mode rides
+    // in the sweep header, so a sampled sweep never gets exact cells.
+    let ctx_for = |spec: &SweepSpec| {
+        let ctx = Ctx::with_disk_cache(spec.scale, cache_path)
+            .with_mode(spec.mode)
+            .with_watchdog(watchdog);
+        match &ckpt {
+            Some((dir, every)) => ctx.with_checkpoints(dir.clone(), *every),
+            None => ctx,
+        }
     };
     // SIGTERM from a draining supervisor (or a terminal Ctrl-C, which
     // reaches the whole process group) raises the cooperative flag; an
@@ -594,9 +615,8 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> 
         }
         match decode_runs(&payload) {
             Ok((n, attempt, last, spec)) => {
-                let ckpt = ckpt.as_ref();
                 let cell = (n, attempt, last);
-                if !serve_one(&writer, &counters, &fault, cache_path, ckpt, cell, &spec)
+                if !serve_one(&writer, &counters, &fault, &ctx_for, cell, &spec)
                     || interrupt::requested()
                 {
                     break;
@@ -621,8 +641,7 @@ fn serve_one(
     writer: &FrameWriter,
     counters: &WorkerCounters,
     fault: &FaultSpec,
-    cache_path: &str,
-    ckpt: Option<&(PathBuf, u64)>,
+    ctx_for: &dyn Fn(&SweepSpec) -> Ctx,
     (n, attempt, last): (usize, u32, bool),
     spec: &SweepSpec,
 ) -> bool {
@@ -660,22 +679,7 @@ fn serve_one(
         std::process::exit(exit_code::FAULT_HB_LOSS);
     }
 
-    // A fresh context per request: replaying the shared cache is what
-    // turns a retried-but-already-computed cell into a memo hit, and a
-    // fresh compute appends to the cache *before* we reply (write-ahead
-    // for results) because Ctx persists at compute time. The mode rides
-    // in the sweep header, so a sampled sweep never gets exact cells.
-    let mut ctx = Ctx::with_disk_cache(spec.scale, cache_path).with_mode(spec.mode);
-    if let Ok(v) = std::env::var("TLPSIM_WATCHDOG_CYCLES") {
-        if let Ok(cycles) = v.parse::<u64>() {
-            if cycles > 0 {
-                ctx = ctx.with_watchdog(cycles);
-            }
-        }
-    }
-    if let Some((dir, every)) = ckpt {
-        ctx = ctx.with_checkpoints(dir.clone(), *every);
-    }
+    let ctx = ctx_for(spec);
     let outcome = ctx.mp_cell_bus(
         &design,
         n,

@@ -7,7 +7,7 @@
 //! [`SplitMix64`] like the journal property suite, so failures
 //! reproduce from the printed seed.
 
-use tlpsim_core::diskcache::frame_payload;
+use tlpsim_core::framedlog::frame_payload;
 use tlpsim_core::net::{FrameDecoder, FrameError, MAX_FRAME};
 use tlpsim_workloads::SplitMix64;
 

@@ -1,21 +1,21 @@
-//! Property test of the sweep journal's crash contract (DESIGN.md §12,
-//! level 1): for *any* torn-write truncation point, replay recovers
-//! exactly the records that were fully written before the tear, repairs
-//! the file in place, and keeps accepting appends. Driven by
-//! [`SplitMix64`] like the cache-index property suite, so failures
-//! reproduce from the printed seed.
+//! Property tests of the crash contract of the sweep journal (DESIGN.md
+//! §12, level 1) and the daemon's job queue (§16): for *any* torn-write
+//! truncation point, replay recovers exactly the records that were
+//! fully written before the tear, repairs the file in place, and keeps
+//! accepting appends. Driven by [`SplitMix64`] like the cache-index
+//! property suite, so failures reproduce from the printed seed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use tlpsim_core::ctx::{Cell, WorkloadKind};
-use tlpsim_core::diskcache::lock_path_for;
+use tlpsim_core::daemon::{QRec, QueueFile};
 use tlpsim_core::journal::{Journal, SweepSpec};
 use tlpsim_core::mode::SimMode;
 use tlpsim_core::{SimError, SimScale};
 use tlpsim_workloads::SplitMix64;
 
-/// A unique scratch journal that cleans up after itself.
+/// A unique scratch journal (or queue) that cleans up after itself.
 struct TempJournal(PathBuf);
 
 impl TempJournal {
@@ -39,7 +39,6 @@ impl TempJournal {
 impl Drop for TempJournal {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(lock_path_for(&self.0));
     }
 }
 
@@ -108,7 +107,7 @@ fn replay_recovers_exactly_the_intact_prefix_under_random_tears() {
                  longest intact prefix (record ends: {ends:?})",
                 full.len()
             );
-            assert_eq!(report.recovered, expect);
+            assert_eq!(report.replayed, expect);
             // A cut mid-record must be repaired back to the prefix end.
             let repaired = std::fs::metadata(tmp.path()).unwrap().len();
             assert!(
@@ -148,6 +147,77 @@ fn tears_inside_the_header_are_loud_errors() {
         match Journal::open(tmp.path()) {
             Err(SimError::InvalidConfig(_)) => {}
             other => panic!("cut at {cut} inside header: expected InvalidConfig, got {other:?}"),
+        }
+    }
+}
+
+fn rand_qrec(rng: &mut SplitMix64, id: u64) -> QRec {
+    match rng.below(4) {
+        0 => QRec::Job {
+            id,
+            // Multi-byte tokens put UTF-8 sequences in the cut range.
+            token: ["jöb", "tabc", "Ω-42", "t9"][rng.below(4) as usize].to_string(),
+            header: spec(rng).header_line(),
+        },
+        1 => QRec::Done { id },
+        2 => QRec::Fail {
+            id,
+            why: "cell n=4 quarantined: fuß".into(),
+        },
+        _ => QRec::Cancel { id },
+    }
+}
+
+#[test]
+fn queue_replay_recovers_exactly_the_intact_prefix_under_random_tears() {
+    let seed = 0x0051_EE7E_u64;
+    let mut rng = SplitMix64::new(seed);
+    let scale = SimScale::quick();
+
+    for round in 0..12 {
+        let tmp = TempJournal::new("qtear");
+        let (q, _, _) = QueueFile::open(tmp.path(), scale).expect("create");
+        let recs: Vec<QRec> = (1..=5).map(|id| rand_qrec(&mut rng, id)).collect();
+        let mut ends = Vec::new();
+        for r in &recs {
+            q.append(r);
+            ends.push(std::fs::metadata(tmp.path()).unwrap().len());
+        }
+        drop(q);
+        let full = std::fs::read(tmp.path()).unwrap();
+        let header_end = full.iter().position(|&b| b == b'\n').unwrap() as u64 + 1;
+
+        for _ in 0..25 {
+            let cut = header_end + rng.next_u64() % (full.len() as u64 - header_end + 1);
+            std::fs::write(tmp.path(), &full[..cut as usize]).unwrap();
+
+            let expect: usize = ends.iter().filter(|&&e| e <= cut).count();
+            let (q, got, report) = QueueFile::open(tmp.path(), scale)
+                .unwrap_or_else(|e| panic!("seed {seed:#x} round {round} cut {cut}: {e}"));
+            assert_eq!(
+                got,
+                recs[..expect],
+                "seed {seed:#x} round {round}: cut at {cut} of {} must keep the \
+                 longest intact prefix (record ends: {ends:?})",
+                full.len()
+            );
+            assert_eq!(report.replayed, expect);
+            let repaired = std::fs::metadata(tmp.path()).unwrap().len();
+            let prefix_end = if expect == 0 {
+                header_end
+            } else {
+                ends[expect - 1]
+            };
+            assert_eq!(repaired, prefix_end, "repair keeps exactly the prefix");
+            if ends.contains(&cut) {
+                assert_eq!(report.truncated_at, None, "clean cut needs no repair");
+            }
+
+            q.append(&QRec::Done { id: 99 });
+            drop(q);
+            let (_q, got2, report2) = QueueFile::open(tmp.path(), scale).expect("reopen");
+            assert_eq!(got2.len(), expect + 1, "append after repair lost data");
+            assert_eq!(report2.truncated_at, None, "repaired file is clean");
         }
     }
 }

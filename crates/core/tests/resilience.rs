@@ -8,14 +8,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use tlpsim_core::ctx::{Cell, CellKey, Ctx, ParsecKey, ParsecOutcome, WorkloadKind};
-use tlpsim_core::diskcache::{fnv1a64, lock_path_for, DiskCache, Record};
+use tlpsim_core::diskcache::{fnv1a64, DiskCache, Record};
 use tlpsim_core::executor::par_map;
 use tlpsim_core::mode::SimMode;
 use tlpsim_core::{SimError, SimScale};
 use tlpsim_power::CoreKind;
 use tlpsim_workloads::SplitMix64;
 
-/// A unique scratch file that cleans up after itself (and its lock).
+/// A unique scratch file that cleans up after itself.
 struct TempCache(PathBuf);
 
 impl TempCache {
@@ -39,7 +39,6 @@ impl TempCache {
 impl Drop for TempCache {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
-        let _ = std::fs::remove_file(lock_path_for(&self.0));
     }
 }
 
@@ -193,6 +192,44 @@ fn mid_file_bitflip_truncates_the_tail() {
     assert!(report.truncated_at.is_some(), "flip must be detected");
     assert!(report.replayed < records.len());
     assert_eq!(replayed[..], records[..report.replayed], "prefix intact");
+}
+
+/// A last record that is no longer UTF-8 (one high bit set) is a bad
+/// line like any other: the intact prefix replays, the tail is
+/// truncated, and the repaired file keeps accepting appends.
+#[test]
+fn non_utf8_tail_is_truncated_not_a_fresh_start() {
+    let tmp = TempCache::new("utf8");
+    let mut rng = SplitMix64::new(19);
+    let records: Vec<Record> = (0..4).map(|_| rand_record(&mut rng)).collect();
+    let mut intact_len = 0;
+    {
+        let (cache, _, _) = DiskCache::open(SimScale::quick(), tmp.path()).expect("open");
+        for r in &records {
+            intact_len = std::fs::metadata(tmp.path()).expect("meta").len();
+            cache.append(r);
+        }
+    }
+    let mut bytes = std::fs::read(tmp.path()).expect("read");
+    let at = bytes.len() - 3;
+    bytes[at] |= 0x80;
+    std::fs::write(tmp.path(), &bytes).expect("write corrupted");
+
+    let (cache, replayed, report) = DiskCache::open(SimScale::quick(), tmp.path()).expect("reopen");
+    assert!(!report.fresh, "a bad tail must not discard the cache");
+    assert_eq!(replayed, records[..3], "prefix intact");
+    assert_eq!(report.truncated_at, Some(intact_len));
+    assert_eq!(
+        std::fs::metadata(tmp.path()).expect("meta").len(),
+        intact_len,
+        "repair must be persisted"
+    );
+    cache.append(&records[3]);
+    drop(cache);
+    let (_c, replayed, report) =
+        DiskCache::open(SimScale::quick(), tmp.path()).expect("third open");
+    assert_eq!(report.truncated_at, None, "repaired file is clean");
+    assert_eq!(replayed, records);
 }
 
 /// A record whose frame checksum passes but whose payload is garbage

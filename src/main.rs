@@ -23,7 +23,7 @@ use std::time::Duration;
 
 use tlpsim::core::client::{self, ClientOptions};
 use tlpsim::core::configs;
-use tlpsim::core::ctx::{Cell, Ctx, WorkloadKind};
+use tlpsim::core::ctx::{watchdog_from_env, Cell, Ctx, WorkloadKind};
 use tlpsim::core::daemon::{self, DaemonOptions};
 use tlpsim::core::journal::{ckpt_dir_for, Journal};
 use tlpsim::core::mode::{self, SimMode};
@@ -175,7 +175,8 @@ ENVIRONMENT:
   TLPSIM_WATCHDOG_CYCLES
                  Override the stall watchdog window (simulated cycles,
                  default 3000000). A run that commits nothing for this
-                 long aborts with a diagnostic snapshot.
+                 long aborts with a diagnostic snapshot. Must be a
+                 positive integer.
   TLPSIM_FAULT   Deterministic fault injection for the worker processes
                  of `serve` and `serve --daemon`, e.g.
                  'crash:0.1,stall:0.05,torn-write:0.02,seed:7'. Faults
@@ -243,16 +244,21 @@ fn usage() -> ! {
 }
 
 /// Validate the tuning environment variables up front (DESIGN.md §12):
-/// a malformed `TLPSIM_THREADS`, `TLPSIM_CKPT_CYCLES` or `TLPSIM_TRACE`
-/// cap is a usage error with a diagnostic naming the value — never a
-/// panic, and never a silent fall-back that leaves a sweep running
-/// with settings the user did not ask for.
+/// a malformed `TLPSIM_THREADS`, `TLPSIM_CKPT_CYCLES`,
+/// `TLPSIM_WATCHDOG_CYCLES` or `TLPSIM_TRACE` cap is a usage error with
+/// a diagnostic naming the value — never a panic, and never a silent
+/// fall-back that leaves a sweep running with settings the user did
+/// not ask for.
 fn validate_env() {
     if let Err(e) = executor::worker_count(1) {
         eprintln!("tlpsim: {e}");
         std::process::exit(EXIT_USAGE);
     }
     if let Err(e) = snapshot::interval_from_env() {
+        eprintln!("tlpsim: {e}");
+        std::process::exit(EXIT_USAGE);
+    }
+    if let Err(e) = watchdog_from_env() {
         eprintln!("tlpsim: {e}");
         std::process::exit(EXIT_USAGE);
     }
@@ -270,7 +276,7 @@ fn validate_env() {
     }
     for name in ["TLPSIM_SERVE_QUEUE_DEPTH", "TLPSIM_SERVE_IO_TIMEOUT_MS"] {
         if let Ok(v) = std::env::var(name) {
-            if let Err(e) = daemon::parse_positive(name, &v) {
+            if let Err(e) = tlpsim::core::parse_positive(name, &v) {
                 eprintln!("tlpsim: {e}");
                 std::process::exit(EXIT_USAGE);
             }
@@ -313,23 +319,19 @@ fn sim_failed(what: &str, e: SimError) -> ! {
 
 /// Build a context at `scale` simulating under `mode`: in-memory, or
 /// disk-backed when `TLPSIM_CACHE` is set; watchdog window from
-/// `TLPSIM_WATCHDOG_CYCLES` if present.
+/// `TLPSIM_WATCHDOG_CYCLES`. `validate_env` already vetted the window,
+/// so an error here is unreachable in practice — but it still exits 2.
 fn make_ctx_at(scale: SimScale, sim_mode: SimMode) -> Ctx {
-    let ctx = match std::env::var("TLPSIM_CACHE") {
+    let watchdog = watchdog_from_env().unwrap_or_else(|e| {
+        eprintln!("tlpsim: {e}");
+        std::process::exit(EXIT_USAGE)
+    });
+    match std::env::var("TLPSIM_CACHE") {
         Ok(path) if !path.is_empty() => Ctx::with_disk_cache(scale, path),
         _ => Ctx::new(scale),
     }
-    .with_mode(sim_mode);
-    match std::env::var("TLPSIM_WATCHDOG_CYCLES") {
-        Ok(v) => match v.parse::<u64>() {
-            Ok(cycles) if cycles > 0 => ctx.with_watchdog(cycles),
-            _ => {
-                eprintln!("tlpsim: ignoring invalid TLPSIM_WATCHDOG_CYCLES={v:?}");
-                ctx
-            }
-        },
-        Err(_) => ctx,
-    }
+    .with_mode(sim_mode)
+    .with_watchdog(watchdog)
 }
 
 /// Build the context at the CLI's default scale.

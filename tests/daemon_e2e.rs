@@ -15,7 +15,8 @@ use std::time::{Duration, Instant};
 
 use tlpsim::core::client::{self, ClientOptions};
 use tlpsim::core::ctx::{Ctx, WorkloadKind};
-use tlpsim::core::diskcache::{unframe, Record};
+use tlpsim::core::diskcache::Record;
+use tlpsim::core::framedlog::unframe;
 use tlpsim::core::journal::SweepSpec;
 use tlpsim::core::mode::SimMode;
 use tlpsim::core::net::FramedConn;
