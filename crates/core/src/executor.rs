@@ -277,10 +277,15 @@ mod tests {
 
     #[test]
     fn preserves_order() {
+        // The same results in the same order at any width.
+        let _l = lock_unpoisoned(&ENV_LOCK);
         let items: Vec<u64> = (0..100).collect();
-        let out = par_map(&items, |&x| Ok(x * 2));
-        let vals: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(vals, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        for threads in ["1", "8"] {
+            let _g = EnvGuard::set(threads);
+            let out = par_map(&items, |&x| Ok(x * 2));
+            let vals: Vec<u64> = out.into_iter().map(|r| r.unwrap()).collect();
+            assert_eq!(vals, (0..100).map(|x| x * 2).collect::<Vec<_>>());
+        }
     }
 
     #[test]

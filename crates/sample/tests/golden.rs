@@ -20,7 +20,7 @@
 
 use tlpsim_sample::{run_sampled, SampleConfig};
 use tlpsim_uarch::{
-    ChipConfig, ChipCpi, CoreConfig, CpiStacks, MultiCore, SampleSink, ThreadProgram,
+    ChipConfig, ChipCpi, CoreConfig, CpiStacks, MultiCore, SampleSink, SampleStats, ThreadProgram,
 };
 use tlpsim_workloads::{spec, InstrStream};
 
@@ -46,8 +46,8 @@ fn print_mode() -> bool {
 }
 
 /// FNV-1a over the `Debug` rendering of the run's result and sampling
-/// statistics.
-fn run<S: SampleSink>(setup: &Setup, sink: S) -> u64 {
+/// statistics, and the statistics themselves.
+fn run<S: SampleSink>(setup: &Setup, sink: S) -> (u64, SampleStats) {
     let mut sim = MultiCore::with_sink(&setup.chip, sink);
     for p in &setup.threads {
         let prof = spec::by_name(p.profile).expect("profile exists");
@@ -65,15 +65,15 @@ fn run<S: SampleSink>(setup: &Setup, sink: S) -> u64 {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    h
+    (h, out.1)
 }
 
-/// Run `setup` on both sinks, require one digest, and check (or print)
-/// it against `expected`.
-fn check(name: &str, expected: u64, setup: &Setup) {
-    let d = run(setup, CpiStacks::new());
+/// Run `setup` on both sinks, require one digest, check (or print) it
+/// against `expected`, and return the run's sampling statistics.
+fn check(name: &str, expected: u64, setup: &Setup) -> SampleStats {
+    let (d, stats) = run(setup, CpiStacks::new());
     assert_eq!(
-        run(setup, ChipCpi::new()),
+        run(setup, ChipCpi::new()).0,
         d,
         "{name}: the chip-level sink diverged from per-context stacks"
     );
@@ -86,6 +86,7 @@ fn check(name: &str, expected: u64, setup: &Setup) {
              — sampled behavior drifted from the recorded loop"
         );
     }
+    stats
 }
 
 fn big_chip(cores: usize) -> ChipConfig {
@@ -156,8 +157,8 @@ fn golden_smt_pair() {
 
 #[test]
 fn golden_compute_bound_long_strides() {
-    // The components bench's dense steady cell: nine extrapolations,
-    // ramping up to the full stride, so the credit path is pinned.
+    // A steady compute-bound cell: nine extrapolations, ramping up to
+    // the full stride, so the credit path is pinned.
     let setup = Setup {
         chip: big_chip(4),
         threads: (0..4u64)
@@ -176,7 +177,14 @@ fn golden_compute_bound_long_strides() {
             ..SampleConfig::default()
         },
     };
-    check("compute_bound", 0x75dd23da10bc20ca, &setup);
+    let stats = check("compute_bound", 0x75dd23da10bc20ca, &setup);
+    // What makes this cell about 10x faster sampled than exact. Checked
+    // apart from the digest, so regenerating the digest cannot lose it.
+    assert!(
+        stats.extrapolated_fraction() >= 0.9,
+        "the steady cell extrapolated only {:.3} of its cycles ({stats:?})",
+        stats.extrapolated_fraction()
+    );
 }
 
 #[test]

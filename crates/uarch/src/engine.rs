@@ -490,8 +490,10 @@ impl<S: TraceSink> MultiCore<S> {
             .clamp(1, 0x1_0000)
             - 1;
         let check_period = check_mask + 1;
-        // Round `c` up to the next watchdog check cycle (`c & mask == 0`).
-        let next_check = |c: Cycle| c.div_ceil(check_period) * check_period;
+        // Round `c` up to the next watchdog check cycle (`c & mask == 0`),
+        // or `Cycle::MAX` if there is none: a window near `Cycle::MAX`
+        // means the watchdog never fires.
+        let next_check = |c: Cycle| c.div_ceil(check_period).saturating_mul(check_period);
         while !self.finished() {
             if self.now >= stop_at {
                 return Ok(RunStatus::Paused);
@@ -570,8 +572,12 @@ impl<S: TraceSink> MultiCore<S> {
                 }
             }
             if committed == self.wd_last_commits {
-                let stall_at =
-                    next_check((self.wd_last_cycle + self.watchdog_window + 1).max(self.now + 1));
+                let stall_at = next_check(
+                    self.wd_last_cycle
+                        .saturating_add(self.watchdog_window)
+                        .saturating_add(1)
+                        .max(self.now + 1),
+                );
                 // The dense loop checks the limit before the watchdog,
                 // so a stall can only be declared at cycles <= limit.
                 if stall_at <= jump_to.min(limit) {

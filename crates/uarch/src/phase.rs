@@ -7,8 +7,9 @@
 //! `TLPSIM_PHASE_PROF=1`, each per-cycle phase (commit / issue-scan /
 //! wheel-maturation / fetch / memory) publishes itself in a process
 //! global with one relaxed store on entry and one on exit. A sampling
-//! thread (`examples/profile_dense.rs`) polls [`current`] on a fixed
-//! cadence and histograms what it sees — unbiased wall-time shares
+//! thread (perfbench's traced run, `--trace 1`, reported as
+//! `uarch.phase.*`) polls [`current`] on a fixed cadence and
+//! histograms what it sees — unbiased wall-time shares
 //! with no clock reads in the simulation thread at all. Disabled (the
 //! default), every probe is one well-predicted branch on a
 //! lazily-initialized flag, so the production path pays nothing
@@ -23,7 +24,7 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// The dense-cycle phases reported by `profile_dense`.
+/// The dense-cycle phases perfbench reports as `uarch.phase.*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Commit scan: retiring completed window heads.

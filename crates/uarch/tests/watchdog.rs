@@ -77,20 +77,40 @@ fn watchdog_window_is_configurable() {
     );
 }
 
+/// A tight window and the largest one `TLPSIM_WATCHDOG_CYCLES` accepts
+/// both leave a healthy run exactly as the default window does, on
+/// both engines: `u64::MAX` means "never fire", so the fast-forward
+/// replay of the checks must saturate, not wrap to a past cycle. The
+/// run is long enough for skips to span several check cycles.
 #[test]
-fn healthy_run_is_untouched_by_a_tight_watchdog() {
-    let chip = ChipConfig::homogeneous(1, CoreConfig::big(), 2.66);
-    let mut sim = MultiCore::new(&chip);
-    let t = sim.add_thread(ThreadProgram::multiprogram_with_warmup(
-        InstrStream::new(&spec::hmmer_like(), 0, 1),
-        0,
-        5_000,
-    ));
-    sim.pin(t, 0, 0);
-    sim.prewarm();
-    sim.set_watchdog(50_000);
-    let run = sim.run().expect("healthy run completes");
-    assert!(run.threads[0].finish_cycle.is_some());
+fn healthy_run_is_untouched_by_the_watchdog_window() {
+    let run = |skip: bool, window: Option<u64>| {
+        let chip = ChipConfig::homogeneous(1, CoreConfig::big(), 2.66);
+        let mut sim = MultiCore::new(&chip);
+        let t = sim.add_thread(ThreadProgram::multiprogram_with_warmup(
+            InstrStream::new(&spec::mcf_like(), 0, 1),
+            0,
+            20_000,
+        ));
+        sim.pin(t, 0, 0);
+        sim.prewarm();
+        sim.set_cycle_skipping(skip);
+        if let Some(w) = window {
+            sim.set_watchdog(w);
+        }
+        sim.run().expect("healthy run completes")
+    };
+    let reference = run(false, None);
+    assert!(reference.threads[0].finish_cycle.is_some());
+    for skip in [false, true] {
+        for window in [50_000, u64::MAX] {
+            assert_eq!(
+                run(skip, Some(window)),
+                reference,
+                "window {window} changed a healthy run (skip={skip})"
+            );
+        }
+    }
 }
 
 #[test]
@@ -202,7 +222,7 @@ fn watchdog_rearms_across_restore() {
 fn cycle_limit_is_bit_identical_under_fast_forward() {
     // mcf-like misses constantly, so fast-forward is active when the
     // limit lands mid-window.
-    let mk = || {
+    let mcf = || {
         let chip = ChipConfig::homogeneous(1, CoreConfig::big(), 2.66);
         let mut sim = MultiCore::new(&chip);
         let t = sim.add_thread(ThreadProgram::multiprogram_with_warmup(
@@ -214,13 +234,24 @@ fn cycle_limit_is_bit_identical_under_fast_forward() {
         sim.prewarm();
         sim
     };
-    let mut fast = mk();
-    fast.set_cycle_skipping(true);
-    let mut dense = mk();
-    dense.set_cycle_skipping(false);
-    let limit = 30_000;
-    let ef = fast.run_with_limit(limit).expect_err("limit must trip");
-    let ed = dense.run_with_limit(limit).expect_err("limit must trip");
-    assert_eq!(ef, ed, "cycle-limit behaviour diverged");
-    assert_eq!(fast.now(), dense.now(), "final cycle diverged");
+    // A starved chip under a `u64::MAX` window: the watchdog never
+    // fires, so the limit ends the run on both engines.
+    let starved = || {
+        let mut sim = stalled_sim();
+        sim.set_watchdog(u64::MAX);
+        sim
+    };
+    let cells: [&dyn Fn() -> MultiCore; 2] = [&mcf, &starved];
+    for mk in cells {
+        let mut fast = mk();
+        fast.set_cycle_skipping(true);
+        let mut dense = mk();
+        dense.set_cycle_skipping(false);
+        let limit = 30_000;
+        let ef = fast.run_with_limit(limit).expect_err("limit must trip");
+        let ed = dense.run_with_limit(limit).expect_err("limit must trip");
+        assert_eq!(ef, RunError::CycleLimit { limit });
+        assert_eq!(ef, ed, "cycle-limit behaviour diverged");
+        assert_eq!(fast.now(), dense.now(), "final cycle diverged");
+    }
 }
