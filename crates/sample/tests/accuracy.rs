@@ -89,6 +89,52 @@ fn compute_bound_profile_extrapolates_most_cycles() {
 }
 
 #[test]
+fn steady_four_core_cell_holds_two_percent_at_long_strides() {
+    // Steady compute-bound cells tolerate four times the default
+    // stride: four big cores, one hmmer-like thread each, the cell
+    // `golden.rs::golden_compute_bound_long_strides` pins at 5M
+    // instructions per thread. At 2M the stride ramp (8k, 16k, ...
+    // cycles) grants two strides longer than the default, about two
+    // thirds of all cycles; at 1M a bias in long strides barely shows.
+    let cfg = SampleConfig {
+        stride: 262_144,
+        ..SampleConfig::default()
+    };
+    let budget = 2_000_000;
+    let build_cell = || {
+        let chip = ChipConfig::homogeneous(4, CoreConfig::big(), 2.66);
+        let mut sim = MultiCore::with_sink(&chip, CpiStacks::new());
+        for i in 0..4u64 {
+            let t = sim.add_thread(ThreadProgram::multiprogram_with_warmup(
+                InstrStream::new(&spec::hmmer_like(), i, 31),
+                1_000,
+                budget,
+            ));
+            sim.pin(t, i as usize, 0);
+        }
+        sim.prewarm();
+        sim
+    };
+    let exact = build_cell().run().expect("exact run");
+    let (sampled, stats) = run_sampled(&mut build_cell(), cfg, LIMIT).expect("sampled run");
+    assert!(
+        stats.extrapolations > 0,
+        "the steady cell never extrapolated ({stats:?})"
+    );
+    let report = compare_results(&exact, &sampled, budget);
+    assert!(
+        report.max_cpi_rel_err <= 0.02,
+        "CPI error {:.4} exceeds 2% at stride 262144 ({stats:?})",
+        report.max_cpi_rel_err
+    );
+    eprintln!(
+        "stride 262144: CPI error {:.4}, {:.3} of cycles extrapolated",
+        report.max_cpi_rel_err,
+        stats.extrapolated_fraction()
+    );
+}
+
+#[test]
 fn sampled_smt_pair_stays_accurate() {
     // Two threads sharing one SMT core: extrapolation must preserve
     // both threads' measurement windows, not just the chip totals.
