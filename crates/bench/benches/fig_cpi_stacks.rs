@@ -82,7 +82,7 @@ fn group(totals: &[u64; 11], comps: &[CpiComponent]) -> f64 {
 
 fn main() {
     tlpsim_bench::header("CPI stacks", "cycle accounting behind findings 1, 3, 8");
-    let scale = tlpsim_bench::scale_from_env();
+    let scale = tlpsim_bench::settings().scale;
     let (w, b) = (scale.warmup, scale.budget);
 
     let d4b = configs::by_name("4B").expect("4B exists");

@@ -10,34 +10,18 @@
 //!
 //! Scale is controlled by the `TLPSIM_SCALE` environment variable:
 //! `standard` (large windows) or `quick` (the default and the
-//! EXPERIMENTS.md scale). Any other value stops the target before it
-//! simulates anything.
+//! EXPERIMENTS.md scale). Like every `TLPSIM_*` variable it is checked
+//! by [`Settings`], and a malformed value or an unknown `TLPSIM_*` name
+//! stops the target before it simulates anything.
 
 use tlpsim_core::ctx::Ctx;
-use tlpsim_core::SimScale;
+use tlpsim_core::settings::Settings;
 
-/// Parse a `TLPSIM_SCALE` value, ignoring surrounding whitespace:
-/// unset, empty or `quick` selects [`SimScale::quick`], `standard` the
-/// larger measurement windows, and anything else is an error that
-/// names the value. The default is quick because the full figure set
-/// is thousands of simulated chips and reference hosts may have one or
-/// two CPUs.
-fn parse_scale(value: Option<&str>) -> Result<SimScale, String> {
-    match value.map(str::trim) {
-        None | Some("" | "quick") => Ok(SimScale::quick()),
-        Some("standard") => Ok(SimScale::standard()),
-        Some(other) => Err(format!(
-            "TLPSIM_SCALE={other:?} is not a scale; use `quick` or `standard`"
-        )),
-    }
-}
-
-/// Read the simulation scale from `TLPSIM_SCALE`: unset, empty or
-/// `quick`, or `standard`. Any other value exits with status 2, so a
-/// typo never regenerates the figures at the wrong scale.
-pub fn scale_from_env() -> SimScale {
-    let value = std::env::var_os("TLPSIM_SCALE").map(|v| v.to_string_lossy().into_owned());
-    parse_scale(value.as_deref()).unwrap_or_else(|e| {
+/// The settings of a bench target. Any malformed value or unknown
+/// `TLPSIM_*` name exits with status 2, so a typo never regenerates the
+/// figures at the wrong scale.
+pub fn settings() -> Settings {
+    Settings::load().unwrap_or_else(|e| {
         eprintln!("tlpsim-bench: {e}");
         std::process::exit(2);
     })
@@ -47,9 +31,9 @@ pub fn scale_from_env() -> SimScale {
 /// result cache at `TLPSIM_CACHE` (default `target/tlpsim-cache.txt`)
 /// so the per-figure bench processes share simulation work.
 pub fn ctx() -> Ctx {
-    let path =
-        std::env::var("TLPSIM_CACHE").unwrap_or_else(|_| "target/tlpsim-cache.txt".to_string());
-    Ctx::with_disk_cache(scale_from_env(), path)
+    let s = settings();
+    let path = s.cache.unwrap_or_else(|| "target/tlpsim-cache.txt".into());
+    Ctx::with_disk_cache(s.scale, path)
 }
 
 /// Print the standard harness header for figure `name`.
@@ -58,20 +42,4 @@ pub fn header(name: &str, what: &str) {
     println!(
         "(scaled synthetic reproduction; shapes comparable to the paper, absolutes are not)\n"
     );
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_quick() {
-        assert_eq!(parse_scale(None), Ok(SimScale::quick()));
-        assert_eq!(parse_scale(Some("quick")), Ok(SimScale::quick()));
-        assert_eq!(parse_scale(Some("standard")), Ok(SimScale::standard()));
-        assert_eq!(parse_scale(Some("")), Ok(SimScale::quick()));
-        assert_eq!(parse_scale(Some(" standard\n")), Ok(SimScale::standard()));
-        let e = parse_scale(Some("standrad")).unwrap_err();
-        assert!(e.contains("\"standrad\""), "{e}");
-    }
 }

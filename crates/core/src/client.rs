@@ -51,8 +51,6 @@ pub struct ClientOptions {
     pub retry_base: Duration,
     /// Reconnect attempts before giving up on the daemon entirely.
     pub max_reconnects: u32,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
 }
 
 impl ClientOptions {
@@ -67,7 +65,6 @@ impl ClientOptions {
             io_timeout: Duration::from_millis(5_000),
             retry_base: Duration::from_millis(250),
             max_reconnects: 10,
-            seed: 0x71E9_5E12,
         }
     }
 }
@@ -87,7 +84,7 @@ pub fn auto_token(spec: &SweepSpec) -> String {
 pub type SweepCells = BTreeMap<usize, Cell>;
 
 fn reconnect_pause(opts: &ClientOptions, attempt: u32) -> Duration {
-    backoff_for(opts.retry_base, opts.seed, 0, attempt)
+    backoff_for(opts.retry_base, 0, attempt)
 }
 
 /// Submit the sweep and (when `wait`) stream results until the job

@@ -147,21 +147,6 @@ struct CkptPolicy {
     every: Cycle,
 }
 
-/// The engine watchdog window `TLPSIM_WATCHDOG_CYCLES` asks for; unset
-/// or empty keeps [`DEFAULT_WATCHDOG_CYCLES`]. The CLI checks it before
-/// any work, and the CLI and the worker host both build their contexts
-/// with it.
-///
-/// # Errors
-/// A diagnostic quoting the value when it is not a positive cycle
-/// count.
-pub fn watchdog_from_env() -> Result<Cycle, String> {
-    match std::env::var("TLPSIM_WATCHDOG_CYCLES") {
-        Ok(v) if !v.trim().is_empty() => crate::parse_positive("TLPSIM_WATCHDOG_CYCLES", &v),
-        _ => Ok(DEFAULT_WATCHDOG_CYCLES),
-    }
-}
-
 /// The memoizing experiment context. Cheap to share by reference
 /// across host threads; all caches are internally synchronized.
 #[derive(Debug)]
@@ -721,22 +706,6 @@ impl Ctx {
 mod tests {
     use super::*;
     use crate::configs;
-
-    #[test]
-    fn watchdog_env_parses_strictly() {
-        // No other test reads this variable.
-        std::env::remove_var("TLPSIM_WATCHDOG_CYCLES");
-        assert_eq!(watchdog_from_env(), Ok(DEFAULT_WATCHDOG_CYCLES));
-        std::env::set_var("TLPSIM_WATCHDOG_CYCLES", " 5000 ");
-        assert_eq!(watchdog_from_env(), Ok(5_000));
-        // Zero, garbage, and a count beyond u64.
-        for bad in ["0", "abc", "-1", "18446744073709551616"] {
-            std::env::set_var("TLPSIM_WATCHDOG_CYCLES", bad);
-            let e = watchdog_from_env().expect_err(bad);
-            assert!(e.contains(bad), "diagnostic must quote the value: {e}");
-        }
-        std::env::remove_var("TLPSIM_WATCHDOG_CYCLES");
-    }
 
     fn quick_ctx() -> Ctx {
         Ctx::new(SimScale::quick())

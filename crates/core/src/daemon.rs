@@ -76,16 +76,24 @@ use crate::framedlog::{Durability, FramedLog, ReplayReport};
 use crate::interrupt;
 use crate::journal::{ckpt_dir_for, Journal, SweepSpec};
 use crate::net::{send_frame, FrameError, FrameReader};
-use crate::serve::{FaultPolicy, ServeOptions, ServeOutcome, ServeStats};
+use crate::serve::{cell_deadline, FaultPolicy, ServeOptions, ServeOutcome, ServeStats};
 use crate::worker::{decode_done, decode_err, encode_runs, EXIT, PROTOCOL_VERSION};
-use crate::{parse_positive, SimScale, SWEEP_COUNTS};
+use crate::{SimScale, SWEEP_COUNTS};
 
 /// Queue-file format version; bump on any layout change.
 pub const QUEUE_VERSION: u32 = 1;
 
+/// Open jobs a daemon admits before it sheds new ones, unless
+/// `TLPSIM_SERVE_QUEUE_DEPTH` says otherwise.
+pub(crate) const DEFAULT_QUEUE_DEPTH: usize = 16;
+
+/// Per-connection read/write deadline: a peer that neither speaks nor
+/// drains for this long is dropped (the slow-loris bound).
+const IO_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// Daemon options: where it listens and what it keeps durable, plus the
-/// supervision policy it shares with one-shot `serve`. Production
-/// values come from [`from_env`](Self::from_env).
+/// supervision policy it shares with one-shot `serve`. The CLI takes the
+/// scale and queue depth from its [`Settings`](crate::settings::Settings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonOptions {
     /// Listen address (`host:port`; port 0 binds an ephemeral port —
@@ -100,8 +108,6 @@ pub struct DaemonOptions {
     pub scale: SimScale,
     /// Admission control: maximum open jobs before `SHED`.
     pub queue_depth: usize,
-    /// Per-connection read/write deadline (slow-loris bound).
-    pub io_timeout: Duration,
     /// When set, the actually-bound address is written here once the
     /// listener is up (ephemeral-port rendezvous for tests/benches).
     pub addr_file: Option<PathBuf>,
@@ -110,21 +116,17 @@ pub struct DaemonOptions {
     pub serve: ServeOptions,
 }
 
-/// Parse `TLPSIM_SERVE_SCALE` (`warmup,budget,parsec_phase,seed`) —
-/// the pure half, testable without touching the environment.
+/// Parse a `TLPSIM_SERVE_SCALE` value (`warmup,budget,parsec_phase,seed`).
 ///
 /// # Errors
 /// A diagnostic naming what is malformed.
 pub fn parse_scale(v: &str) -> Result<SimScale, String> {
     let parts: Vec<&str> = v.split(',').map(str::trim).collect();
     let [w, b, p, s] = parts.as_slice() else {
-        return Err(format!(
-            "TLPSIM_SERVE_SCALE={v:?} needs exactly 4 fields: warmup,budget,parsec_phase,seed"
-        ));
+        return Err("needs exactly 4 fields: warmup,budget,parsec_phase,seed".into());
     };
     let num = |t: &str, what: &str| -> Result<u64, String> {
-        t.parse()
-            .map_err(|_| format!("TLPSIM_SERVE_SCALE: bad {what} {t:?}"))
+        t.parse().map_err(|_| format!("bad {what} {t:?}"))
     };
     let scale = SimScale {
         warmup: num(w, "warmup")?,
@@ -133,62 +135,24 @@ pub fn parse_scale(v: &str) -> Result<SimScale, String> {
         seed: num(s, "seed")?,
     };
     if scale.warmup == 0 || scale.budget == 0 || scale.parsec_phase == 0 {
-        return Err(format!(
-            "TLPSIM_SERVE_SCALE={v:?}: warmup, budget and parsec_phase must be positive"
-        ));
+        return Err("warmup, budget and parsec_phase must be positive".into());
     }
     Ok(scale)
-}
-
-/// `TLPSIM_SERVE_SCALE` from the environment (unset ⇒ `None`, meaning
-/// [`SimScale::quick`]).
-///
-/// # Errors
-/// See [`parse_scale`].
-pub fn scale_from_env() -> Result<Option<SimScale>, String> {
-    match std::env::var("TLPSIM_SERVE_SCALE") {
-        Err(_) => Ok(None),
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => parse_scale(&v).map(Some),
-    }
 }
 
 impl DaemonOptions {
     /// Production defaults for everything but the listen address and
     /// the supervision policy.
-    pub(crate) fn new(addr: String, serve: ServeOptions) -> DaemonOptions {
+    pub fn new(addr: String, serve: ServeOptions) -> DaemonOptions {
         DaemonOptions {
             addr,
             queue_path: PathBuf::from("tlpsim-daemon.queue"),
             cache_path: PathBuf::from("tlpsim-daemon.cells"),
             scale: SimScale::quick(),
-            queue_depth: 16,
-            io_timeout: Duration::from_millis(5_000),
+            queue_depth: DEFAULT_QUEUE_DEPTH,
             addr_file: None,
             serve,
         }
-    }
-
-    /// Production defaults for `addr`/`worker_cmd`, with every
-    /// `TLPSIM_SERVE_*` environment override applied (supervision
-    /// knobs via [`ServeOptions::from_env`]; daemon-only: `QUEUE_DEPTH`
-    /// — open jobs before shedding, `IO_TIMEOUT_MS` — per-connection
-    /// deadline, `SCALE` — the served simulation scale).
-    ///
-    /// # Errors
-    /// A diagnostic naming the malformed variable — the daemon must
-    /// not start with a silently ignored policy override (the CLI
-    /// turns this into exit 2 at startup).
-    pub fn from_env(addr: String, worker_cmd: Vec<String>) -> Result<DaemonOptions, String> {
-        let mut o = DaemonOptions::new(addr, ServeOptions::from_env(worker_cmd)?);
-        o.scale = scale_from_env()?.unwrap_or_else(SimScale::quick);
-        if let Ok(v) = std::env::var("TLPSIM_SERVE_QUEUE_DEPTH") {
-            o.queue_depth = parse_positive("TLPSIM_SERVE_QUEUE_DEPTH", &v)? as usize;
-        }
-        if let Ok(v) = std::env::var("TLPSIM_SERVE_IO_TIMEOUT_MS") {
-            o.io_timeout = Duration::from_millis(parse_positive("TLPSIM_SERVE_IO_TIMEOUT_MS", &v)?);
-        }
-        Ok(o)
     }
 }
 
@@ -464,12 +428,7 @@ fn bind(addr: &str) -> Result<(TcpListener, String), SimError> {
 /// The accept thread: blocks in accept(), so a new connection is served
 /// at once; the shutdown sets the flag and then wakes it with one
 /// loopback connect.
-fn accept_loop(
-    listener: TcpListener,
-    tx: Sender<Ev>,
-    shutdown: Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
+fn accept_loop(listener: TcpListener, tx: Sender<Ev>, shutdown: Arc<AtomicBool>) {
     let mut next_conn: u64 = 1;
     loop {
         let accepted = listener.accept();
@@ -485,7 +444,7 @@ fn accept_loop(
                 // The write deadline is the slow-loris bound: a peer
                 // that will not drain our frames gets its connection
                 // dropped, not our event loop.
-                let _ = w.set_write_timeout(Some(io_timeout));
+                let _ = w.set_write_timeout(Some(IO_TIMEOUT));
                 if tx.send(Ev::Open(id, w)).is_err() {
                     return;
                 }
@@ -612,8 +571,7 @@ impl<'a> Core<'a> {
         let (tx, rx) = channel::<Ev>();
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let io_timeout = self.opts.io_timeout;
-            std::thread::spawn(move || accept_loop(listener, tx, shutdown, io_timeout))
+            std::thread::spawn(move || accept_loop(listener, tx, shutdown))
         };
 
         let mut outcome = Ok(());
@@ -781,7 +739,7 @@ impl<'a> Core<'a> {
             if self.send_to(cid, &encode_runs(task.key.n, task.attempt, last, &header)) {
                 self.stats.dispatched += 1;
                 self.hosts[hidx].busy = Some(Task {
-                    due: now + self.opts.serve.cell_deadline(task.key.n),
+                    due: now + cell_deadline(task.key.n),
                     ..task
                 });
             } else {
@@ -848,8 +806,7 @@ impl<'a> Core<'a> {
             .conns
             .iter()
             .filter(|(_, c)| {
-                matches!(c.role, Role::Pending)
-                    && now.duration_since(c.opened) > self.opts.io_timeout
+                matches!(c.role, Role::Pending) && now.duration_since(c.opened) > IO_TIMEOUT
             })
             .map(|(&cid, _)| cid)
             .collect();
@@ -1557,15 +1514,6 @@ mod tests {
             "200,0,1000,42",
         ] {
             assert!(parse_scale(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn positive_counts_parse_strictly() {
-        assert_eq!(parse_positive("X", "16").unwrap(), 16);
-        for bad in ["0", "-1", "x", ""] {
-            let e = parse_positive("TLPSIM_SERVE_QUEUE_DEPTH", bad).expect_err(bad);
-            assert!(e.contains("TLPSIM_SERVE_QUEUE_DEPTH"), "{e}");
         }
     }
 

@@ -16,9 +16,10 @@
 //! accumulated in per-worker buffers (no per-item locks on the claim
 //! path) and merged positionally after the pool joins.
 //!
-//! The worker count is `TLPSIM_THREADS` if set (must be a positive
-//! integer — anything else is a typed error, never a silent fallback),
-//! else the host's available parallelism, clamped to the item count.
+//! The worker count is `TLPSIM_THREADS` if set (a positive integer,
+//! read by the rule of [`crate::settings`] when each sweep starts —
+//! anything else is a typed error, never a silent fallback), else the
+//! host's available parallelism, clamped to the item count.
 //! `TLPSIM_THREADS=1` bypasses the pool entirely: items run on the
 //! calling thread in index order, which makes sweeps deterministic for
 //! debugging and bisection.
@@ -35,7 +36,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use tlpsim_trace::CounterSnapshot;
 
 use crate::error::SimError;
-use crate::interrupt;
+use crate::{interrupt, settings};
 
 /// Lock a mutex, recovering from poisoning: a worker that panicked
 /// while holding a lock must not take the whole campaign down. Only
@@ -58,8 +59,8 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Number of workers a sweep over `n_items` items will use: the
-/// `TLPSIM_THREADS` override if set, else the host's available
-/// parallelism, clamped to the item count.
+/// `TLPSIM_THREADS` override if set ([`settings::threads`]), else the
+/// host's available parallelism, clamped to the item count.
 ///
 /// # Errors
 /// [`SimError::InvalidConfig`] when `TLPSIM_THREADS` is set but is not
@@ -67,20 +68,11 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 /// on garbage, which turned `TLPSIM_THREADS=1` typos into
 /// non-deterministic "deterministic" sweeps.
 pub fn worker_count(n_items: usize) -> Result<usize, SimError> {
-    let host = match std::env::var("TLPSIM_THREADS") {
-        Err(_) => std::thread::available_parallelism()
+    let host = match settings::threads().map_err(SimError::InvalidConfig)? {
+        Some(n) => n,
+        None => std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4),
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| {
-                SimError::InvalidConfig(format!(
-                    "TLPSIM_THREADS={v:?} is not a positive worker count"
-                ))
-            })?,
     };
     Ok(host.min(n_items.max(1)))
 }
@@ -370,12 +362,17 @@ mod tests {
             host,
             "unset uses the host"
         );
+        // Empty or blank means unset, by the one rule of `settings`.
+        for blank in ["", "  "] {
+            let _g = EnvGuard::set(blank);
+            assert_eq!(worker_count(1_000_000).unwrap(), host, "{blank:?}");
+        }
     }
 
     #[test]
     fn malformed_threads_env_is_a_typed_error_not_a_fallback() {
         let _l = lock_unpoisoned(&ENV_LOCK);
-        for bad in ["not-a-number", "0", "-2", "1.5", ""] {
+        for bad in ["not-a-number", "0", "-2", "1.5"] {
             let _g = EnvGuard::set(bad);
             match worker_count(8) {
                 Err(SimError::InvalidConfig(msg)) => {

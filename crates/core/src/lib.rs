@@ -53,6 +53,7 @@ pub mod metrics;
 pub mod mode;
 pub mod net;
 pub mod serve;
+pub mod settings;
 pub mod snapshot;
 pub mod worker;
 
@@ -99,20 +100,6 @@ impl SimScale {
             seed: 42,
         }
     }
-}
-
-/// Parse the value of environment variable `name` as a positive count
-/// (surrounding whitespace allowed).
-///
-/// # Errors
-/// A diagnostic naming the variable and quoting the value when it is
-/// zero, not a number, or beyond `u64`.
-pub fn parse_positive(name: &str, v: &str) -> Result<u64, String> {
-    v.trim()
-        .parse::<u64>()
-        .ok()
-        .filter(|&x| x > 0)
-        .ok_or_else(|| format!("{name}={v:?} is not a positive count"))
 }
 
 /// The thread counts at which sweep experiments sample the 1..=24

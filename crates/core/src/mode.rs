@@ -11,9 +11,10 @@
 //! ([`crate::ctx::CellKey`]). Foreign-mode records are *rejected with a
 //! diagnostic*, never trusted.
 //!
-//! The CLI resolves the mode once at startup ([`resolve_from`]):
-//! `--sampled` or `TLPSIM_SAMPLE` opt in, `TLPSIM_EXACT=1` vetoes both
-//! (the escape hatch for bit-identical reproduction runs).
+//! The CLI resolves the mode once per command ([`resolve_from`], from
+//! its [`Settings`](crate::settings::Settings)): `--sampled` or
+//! `TLPSIM_SAMPLE` opt in, `TLPSIM_EXACT=1` vetoes both (the escape
+//! hatch for bit-identical reproduction runs).
 
 use tlpsim_sample::SampleConfig;
 
@@ -117,53 +118,21 @@ impl From<SampleConfig> for SimMode {
     }
 }
 
-/// Resolve the simulation mode from its three inputs (pure; the env
-/// wrapper is [`resolve_from_env`]):
+/// Resolve the simulation mode from its three inputs:
 ///
-/// * `sample_spec` — the `TLPSIM_SAMPLE` value, if set: turns sampling
-///   on *and* carries the knobs ([`SampleConfig::parse`] syntax);
-/// * `exact` — the `TLPSIM_EXACT` value, if set: `1` forces exact mode
-///   no matter what else asks for sampling, `0` is a no-op, anything
-///   else is an error;
+/// * `sample` — the `TLPSIM_SAMPLE` knobs, if set: turns sampling on
+///   *and* carries the knobs;
+/// * `exact` — `TLPSIM_EXACT=1`: forces exact mode no matter what else
+///   asks for sampling;
 /// * `cli_sampled` — the `--sampled` flag: turns sampling on with
 ///   default knobs (or the `TLPSIM_SAMPLE` knobs when both are given).
-///
-/// # Errors
-/// A diagnostic string for a malformed spec or flag — the CLI turns it
-/// into exit code 2 before any simulation starts.
-pub fn resolve_from(
-    sample_spec: Option<&str>,
-    exact: Option<&str>,
-    cli_sampled: bool,
-) -> Result<SimMode, String> {
-    let forced_exact = match exact {
-        None | Some("0") => false,
-        Some("1") => true,
-        Some(v) => return Err(format!("TLPSIM_EXACT must be 0 or 1, got {v:?}")),
-    };
-    let cfg = match sample_spec {
-        Some(spec) => Some(SampleConfig::parse(spec).map_err(|e| e.to_string())?),
-        None => None,
-    };
-    if forced_exact {
-        return Ok(SimMode::Exact);
+pub fn resolve_from(sample: Option<SampleConfig>, exact: bool, cli_sampled: bool) -> SimMode {
+    match sample {
+        _ if exact => SimMode::Exact,
+        Some(cfg) => SimMode::from(cfg),
+        None if cli_sampled => SimMode::sampled_default(),
+        None => SimMode::Exact,
     }
-    Ok(match (cfg, cli_sampled) {
-        (Some(cfg), _) => SimMode::from(cfg),
-        (None, true) => SimMode::sampled_default(),
-        (None, false) => SimMode::Exact,
-    })
-}
-
-/// [`resolve_from`] fed from the process environment (`TLPSIM_SAMPLE`,
-/// `TLPSIM_EXACT`).
-///
-/// # Errors
-/// See [`resolve_from`].
-pub fn resolve_from_env(cli_sampled: bool) -> Result<SimMode, String> {
-    let sample = std::env::var("TLPSIM_SAMPLE").ok();
-    let exact = std::env::var("TLPSIM_EXACT").ok();
-    resolve_from(sample.as_deref(), exact.as_deref(), cli_sampled)
 }
 
 #[cfg(test)]
@@ -212,36 +181,23 @@ mod tests {
 
     #[test]
     fn resolution_precedence() {
+        let knobs = SampleConfig {
+            window: 512,
+            stride: 8192,
+            tol_ppm: SampleConfig::default().tol_ppm,
+        };
         // Nothing asked: exact.
-        assert_eq!(resolve_from(None, None, false).unwrap(), SimMode::Exact);
+        assert_eq!(resolve_from(None, false, false), SimMode::Exact);
         // --sampled alone: default knobs.
+        assert_eq!(resolve_from(None, false, true), SimMode::sampled_default());
+        // TLPSIM_SAMPLE alone, or with the flag: sampling with its knobs.
         assert_eq!(
-            resolve_from(None, None, true).unwrap(),
-            SimMode::sampled_default()
+            resolve_from(Some(knobs), false, false),
+            SimMode::from(knobs)
         );
-        // TLPSIM_SAMPLE alone: sampling with its knobs.
-        assert_eq!(
-            resolve_from(Some("window:512,stride:8192"), None, false).unwrap(),
-            SimMode::Sampled {
-                window: 512,
-                stride: 8192,
-                tol_ppm: SampleConfig::default().tol_ppm,
-            }
-        );
+        assert_eq!(resolve_from(Some(knobs), false, true), SimMode::from(knobs));
         // TLPSIM_EXACT=1 vetoes both the flag and the spec — the
         // bit-identity escape hatch.
-        assert_eq!(
-            resolve_from(Some("window:512,stride:8192"), Some("1"), true).unwrap(),
-            SimMode::Exact
-        );
-        // TLPSIM_EXACT=0 is inert.
-        assert_eq!(
-            resolve_from(None, Some("0"), true).unwrap(),
-            SimMode::sampled_default()
-        );
-        // But a malformed TLPSIM_SAMPLE is an error even under
-        // TLPSIM_EXACT=1: silently ignoring a typo'd spec hides it.
-        assert!(resolve_from(Some("window:garbage"), Some("1"), false).is_err());
-        assert!(resolve_from(None, Some("yes"), false).is_err());
+        assert_eq!(resolve_from(Some(knobs), true, true), SimMode::Exact);
     }
 }

@@ -24,7 +24,7 @@
 //!   snapshot; a worker silent for `hb_timeout` is presumed wedged,
 //!   killed, and respawned;
 //! * **wall-clock timeouts** — each dispatched cell gets a deadline
-//!   scaled by its thread count (`cell_timeout_base × (n + 1)`); a
+//!   scaled by its thread count (60 s × (n + 1)); a
 //!   worker that blows it is killed and the cell retried;
 //! * **retry with backoff** — a failed attempt re-queues the cell after
 //!   an exponential backoff with deterministic SplitMix64 jitter;
@@ -62,10 +62,18 @@ pub enum FaultPolicy {
     Spec(String),
 }
 
+/// Per-cell wall-clock budget per unit of (n + 1): the deadline of a
+/// cell at thread count `n` is `CELL_TIMEOUT_BASE × (n + 1)`.
+const CELL_TIMEOUT_BASE: Duration = Duration::from_secs(60);
+
+/// Seed of the deterministic backoff jitter of cell retries and client
+/// reconnects.
+const BACKOFF_SEED: u64 = 0x71E9_5E12;
+
 /// Supervision policy knobs, shared by one-shot `serve` and the daemon
-/// ([`DaemonOptions::serve`]). `Default` gives production values;
-/// [`from_env`](Self::from_env) layers the `TLPSIM_SERVE_*` overrides
-/// on top.
+/// ([`DaemonOptions::serve`]). `Default` gives production values; the
+/// CLI overrides the heartbeat and retry knobs from its
+/// [`Settings`](crate::settings::Settings).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeOptions {
     /// Worker process count.
@@ -79,15 +87,10 @@ pub struct ServeOptions {
     pub hb_interval: Duration,
     /// Silence after which a worker is presumed wedged and killed.
     pub hb_timeout: Duration,
-    /// Per-cell wall-clock budget per unit of (n + 1) — the deadline of
-    /// a cell at thread count `n` is `cell_timeout_base × (n + 1)`.
-    pub cell_timeout_base: Duration,
     /// First retry backoff; attempt `k` waits `base × 2^k` + jitter.
     pub retry_base: Duration,
     /// Attempts per cell before quarantine (≥ 1).
     pub max_attempts: u32,
-    /// Seed of the deterministic backoff jitter.
-    pub seed: u64,
     /// What fault spec workers run under.
     pub fault: FaultPolicy,
     /// When set, every spawned worker PID is appended here, one per
@@ -102,10 +105,8 @@ impl Default for ServeOptions {
             worker_cmd: Vec::new(),
             hb_interval: Duration::from_millis(500),
             hb_timeout: Duration::from_millis(5_000),
-            cell_timeout_base: Duration::from_millis(60_000),
             retry_base: Duration::from_millis(250),
             max_attempts: 3,
-            seed: 0x71E9_5E12,
             fault: FaultPolicy::Inherit,
             pid_file: None,
         }
@@ -113,71 +114,33 @@ impl Default for ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults with the `TLPSIM_SERVE_*` environment overrides applied:
-    /// `HB_MS`, `HB_TIMEOUT_MS`, `CELL_TIMEOUT_MS`, `RETRY_MS` (all
-    /// positive milliseconds) and `ATTEMPTS` (positive count).
-    ///
-    /// # Errors
-    /// A diagnostic naming the malformed variable — serve must not run
-    /// with a silently ignored policy override.
-    pub fn from_env(worker_cmd: Vec<String>) -> Result<ServeOptions, String> {
-        let mut o = ServeOptions {
-            worker_cmd,
-            ..ServeOptions::default()
-        };
-        let ms = |name: &str, default: Duration| -> Result<Duration, String> {
-            match std::env::var(name) {
-                Err(_) => Ok(default),
-                Ok(v) => v
-                    .trim()
-                    .parse::<u64>()
-                    .ok()
-                    .filter(|&x| x > 0)
-                    .map(Duration::from_millis)
-                    .ok_or_else(|| format!("{name}={v:?} is not a positive millisecond count")),
-            }
-        };
-        o.hb_interval = ms("TLPSIM_SERVE_HB_MS", o.hb_interval)?;
-        o.hb_timeout = ms("TLPSIM_SERVE_HB_TIMEOUT_MS", o.hb_timeout)?;
-        o.cell_timeout_base = ms("TLPSIM_SERVE_CELL_TIMEOUT_MS", o.cell_timeout_base)?;
-        o.retry_base = ms("TLPSIM_SERVE_RETRY_MS", o.retry_base)?;
-        if let Ok(v) = std::env::var("TLPSIM_SERVE_ATTEMPTS") {
-            o.max_attempts = v
-                .trim()
-                .parse::<u32>()
-                .ok()
-                .filter(|&x| x > 0)
-                .ok_or_else(|| format!("TLPSIM_SERVE_ATTEMPTS={v:?} is not a positive count"))?;
-        }
-        Ok(o)
-    }
-
-    /// The wall-clock deadline of a cell at thread count `n`.
-    pub fn cell_deadline(&self, n: usize) -> Duration {
-        // Cells scale roughly linearly in n (n threads × fixed
-        // per-thread budget), so the timeout does too; +1 keeps n=1
-        // from getting a degenerate budget.
-        self.cell_timeout_base * (n as u32 + 1)
-    }
-
     /// Backoff before re-dispatching a cell whose zero-based `attempt`
     /// just failed: `retry_base × 2^attempt` plus deterministic jitter
-    /// in `[0, retry_base)` drawn from `(seed, n, attempt)`.
+    /// in `[0, retry_base)` drawn from `(n, attempt)`.
     pub fn backoff(&self, n: usize, attempt: u32) -> Duration {
-        backoff_for(self.retry_base, self.seed, n, attempt)
+        backoff_for(self.retry_base, n, attempt)
     }
+}
+
+/// The wall-clock deadline of a cell at thread count `n`.
+pub(crate) fn cell_deadline(n: usize) -> Duration {
+    // Cells scale roughly linearly in n (n threads × fixed per-thread
+    // budget), so the timeout does too; +1 keeps n=1 from getting a
+    // degenerate budget.
+    CELL_TIMEOUT_BASE * (n as u32 + 1)
 }
 
 /// The shared retry ladder: `retry_base × 2^min(attempt, 6)` plus
 /// deterministic SplitMix64 jitter in `[0, retry_base)` drawn from
-/// `(seed, n, attempt)`. One implementation serves the supervisor's
-/// cell retries and the client's reconnect loop — capped exponential
-/// with jitter everywhere, tested once.
-pub fn backoff_for(retry_base: Duration, seed: u64, n: usize, attempt: u32) -> Duration {
+/// `(n, attempt)`. One implementation serves the supervisor's cell
+/// retries and the client's reconnect loop — capped exponential with
+/// jitter everywhere, tested once.
+pub fn backoff_for(retry_base: Duration, n: usize, attempt: u32) -> Duration {
     let base = retry_base.as_millis() as u64;
     let exp = base.saturating_mul(1u64 << attempt.min(6));
     let mut rng = SplitMix64::new(
-        seed ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        BACKOFF_SEED
+            ^ (n as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ u64::from(attempt).wrapping_mul(0xD1B5_4A32_D192_ED03),
     );
     Duration::from_millis(exp + rng.below(base.max(1)))
@@ -331,12 +294,11 @@ mod tests {
 
     #[test]
     fn cell_deadline_scales_with_thread_count() {
-        let opts = ServeOptions::default();
-        assert_eq!(opts.cell_deadline(1), opts.cell_timeout_base * 2);
-        assert_eq!(opts.cell_deadline(24), opts.cell_timeout_base * 25);
+        assert_eq!(cell_deadline(1), CELL_TIMEOUT_BASE * 2);
+        assert_eq!(cell_deadline(24), CELL_TIMEOUT_BASE * 25);
         let mut prev = Duration::ZERO;
         for n in SWEEP_COUNTS {
-            let d = opts.cell_deadline(n);
+            let d = cell_deadline(n);
             assert!(d > prev, "deadline must grow with n");
             prev = d;
         }
@@ -372,35 +334,5 @@ mod tests {
         }
         drop(journal);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn options_from_env_parse_strictly() {
-        // Unique var names vs the executor/snapshot env tests, but the
-        // serve env vars are also touched by `validate_env` tests in the
-        // binary crate — distinct processes, no conflict.
-        std::env::remove_var("TLPSIM_SERVE_HB_MS");
-        std::env::remove_var("TLPSIM_SERVE_ATTEMPTS");
-        let o = ServeOptions::from_env(vec!["w".into()]).unwrap();
-        assert_eq!(o.hb_interval, Duration::from_millis(500));
-        assert_eq!(o.max_attempts, 3);
-        std::env::set_var("TLPSIM_SERVE_HB_MS", "120");
-        std::env::set_var("TLPSIM_SERVE_ATTEMPTS", "5");
-        let o = ServeOptions::from_env(vec!["w".into()]).unwrap();
-        assert_eq!(o.hb_interval, Duration::from_millis(120));
-        assert_eq!(o.max_attempts, 5);
-        for (k, v) in [
-            ("TLPSIM_SERVE_HB_MS", "0"),
-            ("TLPSIM_SERVE_HB_MS", "soon"),
-            ("TLPSIM_SERVE_ATTEMPTS", "0"),
-            ("TLPSIM_SERVE_ATTEMPTS", "-2"),
-        ] {
-            std::env::set_var("TLPSIM_SERVE_HB_MS", "120");
-            std::env::set_var(k, v);
-            let e = ServeOptions::from_env(vec!["w".into()]).expect_err(v);
-            assert!(e.contains(k), "diagnostic must name the variable: {e}");
-        }
-        std::env::remove_var("TLPSIM_SERVE_HB_MS");
-        std::env::remove_var("TLPSIM_SERVE_ATTEMPTS");
     }
 }

@@ -122,22 +122,6 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
-/// Parse `TLPSIM_CKPT_CYCLES`: unset or empty means checkpointing off
-/// (`None`); otherwise the value must be a positive integer cycle
-/// interval. Malformed values are a hard error — a sweep that looks
-/// checkpointed but silently is not would be discovered only at the
-/// crash it was meant to survive.
-///
-/// # Errors
-/// A diagnostic string naming the bad value.
-pub fn interval_from_env() -> Result<Option<u64>, String> {
-    match std::env::var("TLPSIM_CKPT_CYCLES") {
-        Err(_) => Ok(None),
-        Ok(v) if v.trim().is_empty() => Ok(None),
-        Ok(v) => crate::parse_positive("TLPSIM_CKPT_CYCLES", &v).map(Some),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,23 +166,5 @@ mod tests {
         std::fs::write(&p, b"not a checkpoint at all").unwrap();
         assert_eq!(read_validated(&p), None, "foreign file accepted");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn interval_env_parses_strictly() {
-        // Serialized with the executor's env tests by distinct var
-        // names, so no lock needed here.
-        std::env::remove_var("TLPSIM_CKPT_CYCLES");
-        assert_eq!(interval_from_env(), Ok(None));
-        std::env::set_var("TLPSIM_CKPT_CYCLES", "");
-        assert_eq!(interval_from_env(), Ok(None));
-        std::env::set_var("TLPSIM_CKPT_CYCLES", " 250000 ");
-        assert_eq!(interval_from_env(), Ok(Some(250_000)));
-        for bad in ["0", "-5", "many", "1e6", "100k"] {
-            std::env::set_var("TLPSIM_CKPT_CYCLES", bad);
-            let e = interval_from_env().expect_err(bad);
-            assert!(e.contains(bad), "diagnostic must quote the value: {e}");
-        }
-        std::env::remove_var("TLPSIM_CKPT_CYCLES");
     }
 }

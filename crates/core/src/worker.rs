@@ -87,7 +87,6 @@
 //! itself is tested.
 
 use std::net::TcpStream;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -96,13 +95,14 @@ use tlpsim_trace::CounterSnapshot;
 use tlpsim_workloads::SplitMix64;
 
 use crate::configs;
-use crate::ctx::{watchdog_from_env, Ctx};
+use crate::ctx::Ctx;
 use crate::diskcache::Record;
 use crate::error::SimError;
 use crate::executor::lock_unpoisoned;
+use crate::interrupt;
 use crate::journal::SweepSpec;
 use crate::net::{self, FrameError, FrameReader};
-use crate::{interrupt, snapshot};
+use crate::settings::Settings;
 
 /// Version tag carried in `HELLO`; bump on any wire-format change.
 /// v2: results ride in `DONE <attempt> <CELL ...>` frames and requests
@@ -114,7 +114,8 @@ pub mod exit_code {
     /// Clean shutdown (`EXIT` frame, connection closed, or graceful
     /// drain).
     pub const OK: i32 = 0;
-    /// Malformed `TLPSIM_FAULT` or `TLPSIM_SERVE_HB_MS` — a usage error.
+    /// A malformed or unknown `TLPSIM_*` variable, or bad host
+    /// arguments: `tlpsim` exits with this before the host starts.
     pub const USAGE: i32 = 2;
     /// Injected `crash` fault.
     pub const FAULT_CRASH: i32 = 101;
@@ -338,18 +339,6 @@ impl FaultSpec {
         Ok(spec)
     }
 
-    /// Parse `TLPSIM_FAULT` from the environment (unset ⇒ inert).
-    ///
-    /// # Errors
-    /// See [`parse`](Self::parse).
-    pub fn from_env() -> Result<FaultSpec, String> {
-        match std::env::var("TLPSIM_FAULT") {
-            Err(_) => Ok(FaultSpec::none()),
-            Ok(v) if v.trim().is_empty() => Ok(FaultSpec::none()),
-            Ok(v) => Self::parse(&v).map_err(|why| format!("TLPSIM_FAULT: {why}")),
-        }
-    }
-
     /// The deterministic draw for one `(cell, attempt)` boundary. The
     /// stream depends only on `(seed, n, attempt)` — re-running the
     /// same chaos configuration replays the same faults, and distinct
@@ -439,24 +428,6 @@ impl FrameWriter {
     }
 }
 
-/// Worker heartbeat cadence: `TLPSIM_SERVE_HB_MS` (the supervisor sets
-/// it on every worker it spawns), default 500 ms.
-///
-/// # Errors
-/// A diagnostic when the value is not a positive integer.
-pub fn hb_interval_from_env() -> Result<Duration, String> {
-    match std::env::var("TLPSIM_SERVE_HB_MS") {
-        Err(_) => Ok(Duration::from_millis(500)),
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .filter(|&ms| ms > 0)
-            .map(Duration::from_millis)
-            .ok_or_else(|| format!("TLPSIM_SERVE_HB_MS={v:?} is not a positive millisecond count")),
-    }
-}
-
 /// Live worker-side counters, published through heartbeats.
 struct WorkerCounters {
     cells_done: AtomicU64,
@@ -489,36 +460,21 @@ impl WorkerCounters {
 /// jobs over one pool), and every result is made durable through the
 /// shared disk cache at `cache_path` *before* its `DONE` frame is sent —
 /// the write-ahead order that turns any lost result frame into a cache
-/// hit on retry. `ckpt_dir`, when given, is where in-flight cells
-/// checkpoint at the `TLPSIM_CKPT_CYCLES` cadence: one-shot `serve`
-/// passes the directory `tlpsim sweep`/`resume` use, so a drained serve
-/// run resumes mid-cell like any other sweep.
-pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> i32 {
-    let fault = match FaultSpec::from_env() {
-        Ok(f) => f,
-        Err(why) => {
-            eprintln!("tlpsim worker: {why}");
-            return exit_code::USAGE;
-        }
-    };
-    let hb_every = match hb_interval_from_env() {
-        Ok(d) => d,
-        Err(why) => {
-            eprintln!("tlpsim worker: {why}");
-            return exit_code::USAGE;
-        }
-    };
-    let watchdog = match watchdog_from_env() {
-        Ok(cycles) => cycles,
-        Err(why) => {
-            eprintln!("tlpsim worker: {why}");
-            return exit_code::USAGE;
-        }
-    };
-    let ckpt = match (ckpt_dir, snapshot::interval_from_env()) {
-        (Some(dir), Ok(Some(every))) => Some((PathBuf::from(dir), every)),
-        _ => None,
-    };
+/// hit on retry. `settings` gives the fault spec, the heartbeat cadence
+/// (`TLPSIM_SERVE_HB_MS`, which the supervisor sets on every host), the
+/// watchdog window and the checkpoint cadence. `ckpt_dir`, when given,
+/// is where in-flight cells checkpoint at that cadence: one-shot
+/// `serve` passes the directory `tlpsim sweep`/`resume` use, so a
+/// drained serve run resumes mid-cell like any other sweep.
+pub fn worker_tcp_main(
+    settings: &Settings,
+    addr: &str,
+    cache_path: &str,
+    ckpt_dir: Option<&str>,
+) -> i32 {
+    let fault = &settings.fault;
+    let hb_every = settings.hb_interval;
+    let ckpt = ckpt_dir.zip(settings.ckpt_cycles);
     // A fresh context per request: replaying the shared cache is what
     // turns a retried-but-already-computed cell into a memo hit, and a
     // fresh compute appends to the cache *before* we reply (write-ahead
@@ -527,9 +483,9 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> 
     let ctx_for = |spec: &SweepSpec| {
         let ctx = Ctx::with_disk_cache(spec.scale, cache_path)
             .with_mode(spec.mode)
-            .with_watchdog(watchdog);
-        match &ckpt {
-            Some((dir, every)) => ctx.with_checkpoints(dir.clone(), *every),
+            .with_watchdog(settings.watchdog_cycles);
+        match ckpt {
+            Some((dir, every)) => ctx.with_checkpoints(dir, every),
             None => ctx,
         }
     };
@@ -616,7 +572,7 @@ pub fn worker_tcp_main(addr: &str, cache_path: &str, ckpt_dir: Option<&str>) -> 
         match decode_runs(&payload) {
             Ok((n, attempt, last, spec)) => {
                 let cell = (n, attempt, last);
-                if !serve_one(&writer, &counters, &fault, &ctx_for, cell, &spec)
+                if !serve_one(&writer, &counters, fault, &ctx_for, cell, &spec)
                     || interrupt::requested()
                 {
                     break;

@@ -100,9 +100,9 @@ impl Default for SampleConfig {
     }
 }
 
-/// A malformed or out-of-range `TLPSIM_SAMPLE` spec. The CLI turns
-/// this into a diagnostic and exit code 2 at startup, before any
-/// simulation begins.
+/// A malformed or out-of-range sampling spec. The CLI turns a bad
+/// `TLPSIM_SAMPLE` into a diagnostic and exit code 2 at startup,
+/// before any simulation begins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SampleSpecError(String);
 
@@ -110,7 +110,7 @@ impl fmt::Display for SampleSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "invalid TLPSIM_SAMPLE spec: {} (expected comma-separated \
+            "invalid sampling spec: {} (expected comma-separated \
              `window:N`, `stride:N`, `tol:F`, e.g. \
              `window:2048,stride:65536,tol:0.05`)",
             self.0

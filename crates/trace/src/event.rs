@@ -5,7 +5,7 @@
 //! a counter records how many were lost. Iteration yields surviving
 //! events oldest-first, ready for the Chrome exporter.
 
-/// Default ring capacity (events) when `TLPSIM_TRACE` gives no `:cap`.
+/// Default ring capacity, in events.
 pub const DEFAULT_RING_CAP: usize = 1 << 16;
 
 /// One structural simulator event, timestamped in core cycles.

@@ -22,15 +22,15 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use tlpsim::core::client::{self, ClientOptions};
-use tlpsim::core::configs;
-use tlpsim::core::ctx::{watchdog_from_env, Cell, Ctx, WorkloadKind};
+use tlpsim::core::configs::{self, Design};
+use tlpsim::core::ctx::{Cell, Ctx, WorkloadKind};
 use tlpsim::core::daemon::{self, DaemonOptions};
-use tlpsim::core::journal::{ckpt_dir_for, Journal};
-use tlpsim::core::mode::{self, SimMode};
+use tlpsim::core::journal::{ckpt_dir_for, Journal, SweepSpec};
+use tlpsim::core::mode::SimMode;
 use tlpsim::core::serve::{serve_sweep, ServeOptions};
-use tlpsim::core::worker::FaultSpec;
-use tlpsim::core::{executor, interrupt, snapshot, worker, SimError, SimScale, SWEEP_COUNTS};
-use tlpsim::trace::{write_chrome_trace, CpiComponent, TraceConfig, Tracer, DEFAULT_RING_CAP};
+use tlpsim::core::settings::Settings;
+use tlpsim::core::{executor, interrupt, worker, SimError, SimScale, SWEEP_COUNTS};
+use tlpsim::trace::{write_chrome_trace, CpiComponent, Tracer};
 use tlpsim::uarch::{MultiCore, ThreadProgram};
 use tlpsim::workloads::{parsec, spec, InstrStream};
 
@@ -137,6 +137,13 @@ USAGE:
       Show this message.
 
 ENVIRONMENT:
+  Every TLPSIM_* variable follows one rule: surrounding whitespace is
+  ignored and an empty value means unset; a malformed value, or a
+  TLPSIM_* name that tlpsim does not know, is a usage error (exit 2)
+  before any work starts. TLPSIM_SCALE (the bench targets' scale,
+  quick or standard), TLPSIM_PHASE_PROF and TLPSIM_PRINT_GOLDEN (for
+  profiling and tests) are known names that tlpsim itself does not use.
+
   TLPSIM_CACHE   Path to the on-disk result cache. Unset: in-memory
                  only. A corrupt or torn cache file is detected
                  (checksummed records) and repaired in place; see
@@ -146,8 +153,7 @@ ENVIRONMENT:
                  capacity (default 65536 events; the ring keeps the
                  newest events once full).
   TLPSIM_THREADS Host worker threads for sweeps (default: all cores).
-                 Must be a positive integer; anything else is a usage
-                 error.
+                 A positive integer.
   TLPSIM_CKPT_CYCLES
                  Checkpoint cadence in simulated cycles for sweep
                  cells. When set, each in-flight cell saves its full
@@ -155,7 +161,7 @@ ENVIRONMENT:
                  next to the journal) and an interrupted or killed
                  sweep resumes mid-cell, bit-identical to an
                  uninterrupted run. Unset: cells restart from scratch
-                 on resume. Must be a positive integer.
+                 on resume. A positive integer.
   TLPSIM_SAMPLE  Turn on interval-model sampled simulation (like
                  --sampled) and/or tune its knobs, as a comma-separated
                  'window:N,stride:N,tol:F' spec — detailed measurement
@@ -170,13 +176,17 @@ ENVIRONMENT:
                  app runs always stay exact.
   TLPSIM_EXACT   Set to 1 to force exact (fully detailed) simulation,
                  overriding --sampled and TLPSIM_SAMPLE — the escape
-                 hatch for bit-identical reproduction runs. 0 or unset
-                 is a no-op; anything else is a usage error.
+                 hatch for bit-identical reproduction runs. 0 is a
+                 no-op; anything else is a usage error.
   TLPSIM_WATCHDOG_CYCLES
                  Override the stall watchdog window (simulated cycles,
                  default 3000000). A run that commits nothing for this
-                 long aborts with a diagnostic snapshot. Must be a
-                 positive integer.
+                 long aborts with a diagnostic snapshot. A positive
+                 integer.
+  TLPSIM_NO_SKIP Set to anything but 0 to force the dense stepper
+                 instead of event-driven cycle skipping, for
+                 bisecting an engine anomaly; results are
+                 bit-identical either way.
   TLPSIM_FAULT   Deterministic fault injection for the worker processes
                  of `serve` and `serve --daemon`, e.g.
                  'crash:0.1,stall:0.05,torn-write:0.02,seed:7'. Faults
@@ -197,8 +207,7 @@ ENVIRONMENT:
                  goes silent without dying — heartbeat supervision
                  kills it), and 'slow-peer:P' (the DONE frame trickles
                  out a few bytes at a time — deadlines tolerate it,
-                 the accept loop never blocks). A malformed spec is a
-                 usage error at startup (exit 2).
+                 the accept loop never blocks).
   TLPSIM_SERVE_SCALE
                  The simulation scale a daemon serves and a submit
                  client requests, as 'warmup,budget,parsec,seed'
@@ -209,23 +218,13 @@ ENVIRONMENT:
                  Open jobs the daemon admits before shedding new
                  submissions with a typed 'overloaded' error
                  (default 16). Positive integer.
-  TLPSIM_SERVE_IO_TIMEOUT_MS
-                 Per-connection read/write deadline at the daemon
-                 (default 5000): a peer that neither speaks nor
-                 drains for this long is dropped (slow-loris shed),
-                 never waited on.
   TLPSIM_SERVE_HB_MS / TLPSIM_SERVE_HB_TIMEOUT_MS
                  Worker heartbeat cadence (default 500) and the
                  silence after which a worker is presumed wedged and
                  killed (default 5000). Positive milliseconds.
-  TLPSIM_SERVE_CELL_TIMEOUT_MS
-                 Per-cell wall-clock budget per (threads+1) — cell n
-                 must finish within this × (n+1) ms (default 60000).
   TLPSIM_SERVE_RETRY_MS
                  First retry backoff (default 250); attempt k waits
                  2^k × this, plus deterministic jitter.
-  TLPSIM_SERVE_ATTEMPTS
-                 Attempts per cell before quarantine (default 3).
 
 EXIT CODES:
   0    success
@@ -243,120 +242,101 @@ fn usage() -> ! {
     std::process::exit(EXIT_USAGE);
 }
 
-/// Validate the tuning environment variables up front (DESIGN.md §12):
-/// a malformed `TLPSIM_THREADS`, `TLPSIM_CKPT_CYCLES`,
-/// `TLPSIM_WATCHDOG_CYCLES` or `TLPSIM_TRACE` cap is a usage error with
-/// a diagnostic naming the value — never a panic, and never a silent
-/// fall-back that leaves a sweep running with settings the user did
-/// not ask for.
-fn validate_env() {
-    if let Err(e) = executor::worker_count(1) {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Err(e) = snapshot::interval_from_env() {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Err(e) = watchdog_from_env() {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Err(e) = FaultSpec::from_env() {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Err(e) = ServeOptions::from_env(Vec::new()) {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Err(e) = daemon::scale_from_env() {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    for name in ["TLPSIM_SERVE_QUEUE_DEPTH", "TLPSIM_SERVE_IO_TIMEOUT_MS"] {
-        if let Ok(v) = std::env::var(name) {
-            if let Err(e) = tlpsim::core::parse_positive(name, &v) {
-                eprintln!("tlpsim: {e}");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-    // A typo'd sampling spec must stop the process before any
-    // simulation starts — silently falling back to exact mode (or to
-    // default knobs) would produce results under a mode the user did
-    // not ask for.
-    if let Err(e) = mode::resolve_from_env(false) {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE);
-    }
-    if let Ok(v) = std::env::var("TLPSIM_TRACE") {
-        if let Some((path, cap)) = v.rsplit_once(':') {
-            // The library treats a non-numeric suffix as part of the
-            // path (files may contain colons); but a suffix that *looks*
-            // numeric and still fails to parse as a positive count is an
-            // intended cap with a typo — reject it here at the CLI
-            // boundary rather than silently tracing into a file named
-            // "trace.json:0".
-            let looks_numeric = !cap.is_empty()
-                && cap
-                    .chars()
-                    .all(|c| c.is_ascii_digit() || c == '+' || c == '-');
-            let valid = cap.parse::<usize>().map(|n| n > 0).unwrap_or(false);
-            if looks_numeric && !valid && !path.is_empty() {
-                eprintln!("tlpsim: TLPSIM_TRACE cap {cap:?} is not a positive event count");
-                std::process::exit(EXIT_USAGE);
-            }
-        }
-    }
-}
-
 /// Report a simulation failure and exit with the dedicated code.
 fn sim_failed(what: &str, e: SimError) -> ! {
     eprintln!("tlpsim: {what} failed: {e}");
     std::process::exit(EXIT_SIM_FAILED);
 }
 
-/// Build a context at `scale` simulating under `mode`: in-memory, or
-/// disk-backed when `TLPSIM_CACHE` is set; watchdog window from
-/// `TLPSIM_WATCHDOG_CYCLES`. `validate_env` already vetted the window,
-/// so an error here is unreachable in practice — but it still exits 2.
-fn make_ctx_at(scale: SimScale, sim_mode: SimMode) -> Ctx {
-    let watchdog = watchdog_from_env().unwrap_or_else(|e| {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE)
-    });
-    match std::env::var("TLPSIM_CACHE") {
-        Ok(path) if !path.is_empty() => Ctx::with_disk_cache(scale, path),
-        _ => Ctx::new(scale),
+/// Build a context at `scale` simulating under `sim_mode`: in-memory,
+/// or disk-backed when `TLPSIM_CACHE` is set, with the watchdog window
+/// of `TLPSIM_WATCHDOG_CYCLES`.
+fn make_ctx(settings: &Settings, scale: SimScale, sim_mode: SimMode) -> Ctx {
+    match &settings.cache {
+        Some(path) => Ctx::with_disk_cache(scale, path),
+        None => Ctx::new(scale),
     }
     .with_mode(sim_mode)
-    .with_watchdog(watchdog)
+    .with_watchdog(settings.watchdog_cycles)
 }
 
-/// Build the context at the CLI's default scale.
-fn make_ctx(sim_mode: SimMode) -> Ctx {
-    make_ctx_at(SimScale::quick(), sim_mode)
+/// Whether the boolean flag `flag` is present.
+fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
 }
 
-/// Resolve the simulation mode for one command from the `--sampled`
-/// flag and the environment (`TLPSIM_SAMPLE`, `TLPSIM_EXACT`).
-/// `validate_env` already vetted the variables, so an error here is
-/// unreachable in practice — but it still exits 2, never panics.
-fn cli_mode(args: &[String]) -> SimMode {
-    let sampled = args.iter().any(|a| a == "--sampled");
-    mode::resolve_from_env(sampled).unwrap_or_else(|e| {
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE)
+/// The value following `flag`, or `None` when the flag is absent;
+/// a flag present without a value is a usage error.
+fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
+}
+
+/// The design called `name`; an unknown name exits 3.
+fn design_named(name: &str) -> Design {
+    configs::by_name(name).unwrap_or_else(|| {
+        eprintln!("unknown design {name}");
+        std::process::exit(EXIT_UNKNOWN_NAME)
     })
 }
 
-/// Print the sweep result table. Shared by `sweep`, `resume` and
-/// `serve`: the table is a pure function of the completed cells, so a
-/// resumed, served or chaos-ridden sweep prints byte-identically to a
-/// clean single-process one.
-fn print_table(design: &str, smt: bool, bus_gbps: f64, cells: &BTreeMap<usize, Cell>) {
-    println!("sweep {design} heterogeneous SMT={smt} bus={bus_gbps} GB/s");
+/// The sweep that `sweep`, `serve` and `submit` run at `scale`: the
+/// design named by `args[1]` over the heterogeneous mixes, with
+/// `--no-smt`, `--bus16` and `--sampled`.
+fn sweep_spec(args: &[String], settings: &Settings, scale: SimScale) -> SweepSpec {
+    if args.len() < 2 || args[1].starts_with("--") {
+        usage();
+    }
+    SweepSpec {
+        design: design_named(&args[1]).name,
+        kind: WorkloadKind::Heterogeneous,
+        smt: !has_flag(args, "--no-smt"),
+        bus_dgbps: if has_flag(args, "--bus16") { 160 } else { 80 },
+        scale,
+        mode: settings.mode(has_flag(args, "--sampled")),
+    }
+}
+
+/// The supervision policy of `serve` and `serve --daemon`: this
+/// binary's hidden worker host, `--workers` (default 2) and
+/// `--pid-file`, and the heartbeat and retry knobs of `settings`.
+fn serve_options(args: &[String], settings: &Settings) -> ServeOptions {
+    let workers = flag_value(args, "--workers").map_or(2, |v| {
+        v.parse::<usize>()
+            .ok()
+            .filter(|&w| w > 0)
+            .unwrap_or_else(|| {
+                eprintln!("tlpsim: --workers {v:?} is not a positive count");
+                std::process::exit(EXIT_USAGE)
+            })
+    });
+    let pid_file = flag_value(args, "--pid-file").map(PathBuf::from);
+    let exe = std::env::current_exe().unwrap_or_else(|e| {
+        eprintln!("tlpsim: cannot locate own binary for worker spawn: {e}");
+        std::process::exit(EXIT_SIM_FAILED)
+    });
+    ServeOptions {
+        workers,
+        worker_cmd: vec![exe.display().to_string(), "__serve-worker".to_string()],
+        hb_interval: settings.hb_interval,
+        hb_timeout: settings.hb_timeout,
+        retry_base: settings.retry_base,
+        pid_file,
+        ..ServeOptions::default()
+    }
+}
+
+/// Print the sweep result table. Shared by `sweep`, `resume`, `serve`
+/// and `submit`: the table is a pure function of the completed cells,
+/// so a resumed, served or chaos-ridden sweep prints byte-identically
+/// to a clean single-process one.
+fn print_table(spec: &SweepSpec, cells: &BTreeMap<usize, Cell>) {
+    let bus_gbps = f64::from(spec.bus_dgbps) / 10.0;
+    println!(
+        "sweep {} heterogeneous SMT={} bus={bus_gbps} GB/s",
+        spec.design, spec.smt
+    );
     println!("{:>4} {:>10} {:>10} {:>10}", "n", "STP", "ANTT", "power_W");
     for (n, cell) in cells {
         println!(
@@ -372,7 +352,12 @@ fn print_table(design: &str, smt: bool, bus_gbps: f64, cells: &BTreeMap<usize, C
 /// thread count not already in `done`, journaling each completed cell
 /// before it counts, and print the result table. Never returns — the
 /// exit code is the whole story (0, 4, or 130).
-fn run_sweep(journal: Journal, done: BTreeMap<usize, Cell>, journal_path: &Path) -> ! {
+fn run_sweep(
+    settings: &Settings,
+    journal: Journal,
+    done: BTreeMap<usize, Cell>,
+    journal_path: &Path,
+) -> ! {
     let spec = journal.spec().clone();
     let Some(design) = configs::by_name(&spec.design) else {
         // Only reachable on resume: create validated the name already.
@@ -394,8 +379,8 @@ fn run_sweep(journal: Journal, done: BTreeMap<usize, Cell>, journal_path: &Path)
     );
 
     interrupt::install_handlers();
-    let mut ctx = make_ctx_at(spec.scale, spec.mode);
-    if let Ok(Some(every)) = snapshot::interval_from_env() {
+    let mut ctx = make_ctx(settings, spec.scale, spec.mode);
+    if let Some(every) = settings.ckpt_cycles {
         ctx = ctx.with_checkpoints(ckpt_dir_for(journal_path), every);
     }
 
@@ -430,7 +415,7 @@ fn run_sweep(journal: Journal, done: BTreeMap<usize, Cell>, journal_path: &Path)
         }
     }
 
-    print_table(&spec.design, spec.smt, bus_gbps, &merged);
+    print_table(&spec, &merged);
 
     if interrupted {
         eprintln!(
@@ -453,48 +438,27 @@ fn run_sweep(journal: Journal, done: BTreeMap<usize, Cell>, journal_path: &Path)
 /// worker OS processes under the full robustness policy (heartbeats,
 /// timeouts, retry/backoff, quarantine, graceful drain; in-flight cells
 /// checkpoint into the journal's checkpoint directory). Never returns.
-fn serve_run(
-    journal: Journal,
-    done: BTreeMap<usize, Cell>,
-    journal_path: &Path,
-    workers: usize,
-    pid_file: Option<PathBuf>,
-) -> ! {
+fn serve_run(journal: Journal, journal_path: &Path, opts: ServeOptions) -> ! {
     let spec = journal.spec().clone();
-    let bus_gbps = f64::from(spec.bus_dgbps) / 10.0;
-    let remaining = SWEEP_COUNTS
-        .iter()
-        .filter(|n| !done.contains_key(n))
-        .count();
+    // Serve always starts a fresh journal; `resume` continues in-process.
     eprintln!(
-        "tlpsim: sweep {} (SMT={}, {bus_gbps} GB/s): {} cell(s) journaled, {} to simulate",
+        "tlpsim: sweep {} (SMT={}, {} GB/s): 0 cell(s) journaled, {} to simulate",
         spec.design,
         spec.smt,
-        done.len(),
-        remaining
+        f64::from(spec.bus_dgbps) / 10.0,
+        SWEEP_COUNTS.len()
     );
 
     interrupt::install_handlers();
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("tlpsim: cannot locate own binary for worker spawn: {e}");
-        std::process::exit(EXIT_SIM_FAILED)
-    });
-    let worker_cmd = vec![exe.display().to_string(), "__serve-worker".to_string()];
-    let mut opts = ServeOptions::from_env(worker_cmd).unwrap_or_else(|e| {
-        // validate_env already vetted these; unreachable in practice.
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE)
-    });
-    opts.workers = workers;
-    opts.pid_file = pid_file;
     eprintln!(
         "tlpsim: serve: {} worker(s)",
         opts.workers.max(1).min(SWEEP_COUNTS.len())
     );
 
-    let outcome = serve_sweep(&journal, done, &opts).unwrap_or_else(|e| sim_failed("serve", e));
+    let outcome =
+        serve_sweep(&journal, BTreeMap::new(), &opts).unwrap_or_else(|e| sim_failed("serve", e));
 
-    print_table(&spec.design, spec.smt, bus_gbps, &outcome.cells);
+    print_table(&spec, &outcome.cells);
 
     let s = &outcome.stats;
     eprintln!(
@@ -523,62 +487,27 @@ fn serve_run(
     std::process::exit(0);
 }
 
-/// The value following `flag`, or `None` when the flag is absent;
-/// a flag present without a value is a usage error.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-}
-
-/// The daemon/client simulation scale: `TLPSIM_SERVE_SCALE`, or the
-/// CLI default. `validate_env` already vetted the variable.
-fn serve_scale() -> SimScale {
-    daemon::scale_from_env()
-        .unwrap_or_else(|e| {
-            eprintln!("tlpsim: {e}");
-            std::process::exit(EXIT_USAGE)
-        })
-        .unwrap_or_else(SimScale::quick)
-}
-
 /// `tlpsim serve --daemon <addr> ...` — run the long-lived sweep
 /// daemon (DESIGN.md §16). Never returns: the daemon runs until a
 /// graceful drain (exit 130, queue persists) or a startup error.
-fn daemon_serve(args: &[String]) -> ! {
+fn daemon_serve(args: &[String], settings: &Settings) -> ! {
     let addr = flag_value(args, "--daemon").unwrap_or_else(|| usage());
     if addr.starts_with("--") {
         usage();
     }
-    interrupt::install_handlers();
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("tlpsim: cannot locate own binary for worker spawn: {e}");
-        std::process::exit(EXIT_SIM_FAILED)
-    });
-    let worker_cmd = vec![exe.display().to_string(), "__serve-worker".to_string()];
-    let mut opts = DaemonOptions::from_env(addr, worker_cmd).unwrap_or_else(|e| {
-        // validate_env already vetted these; unreachable in practice.
-        eprintln!("tlpsim: {e}");
-        std::process::exit(EXIT_USAGE)
-    });
-    if let Some(v) = flag_value(args, "--workers") {
-        opts.serve.workers = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&w| w > 0)
-            .unwrap_or_else(|| {
-                eprintln!("tlpsim: --workers {v:?} is not a positive count");
-                std::process::exit(EXIT_USAGE)
-            });
-    }
+    let mut opts = DaemonOptions {
+        scale: settings.serve_scale,
+        queue_depth: settings.queue_depth,
+        addr_file: flag_value(args, "--addr-file").map(PathBuf::from),
+        ..DaemonOptions::new(addr, serve_options(args, settings))
+    };
     if let Some(p) = flag_value(args, "--queue") {
         opts.queue_path = PathBuf::from(p);
     }
     if let Some(p) = flag_value(args, "--cache") {
         opts.cache_path = PathBuf::from(p);
     }
-    opts.serve.pid_file = flag_value(args, "--pid-file").map(PathBuf::from);
-    opts.addr_file = flag_value(args, "--addr-file").map(PathBuf::from);
+    interrupt::install_handlers();
 
     let outcome = daemon::run_daemon(&opts).unwrap_or_else(|e| sim_failed("daemon", e));
     let s = &outcome.stats;
@@ -631,23 +560,28 @@ fn reset_sigpipe() {}
 fn main() {
     reset_sigpipe();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every TLPSIM_* variable is checked once, before any command runs
+    // (the worker host's too): a malformed value or an unknown name is
+    // a usage error, never a silent fall-back that leaves a sweep
+    // running with settings the user did not ask for.
+    let settings = Settings::load().unwrap_or_else(|e| {
+        eprintln!("tlpsim: {e}");
+        std::process::exit(EXIT_USAGE)
+    });
     // Hidden worker host entry point, spawned by `tlpsim serve` (with
     // and without --daemon):
     // `tlpsim __serve-worker --tcp <addr> <cache> [<ckpt-dir>]`.
-    // Dispatched before validate_env — the worker validates the env it
-    // actually uses and must not die on, say, a TLPSIM_TRACE typo
-    // mid-sweep.
     if args.first().is_some_and(|a| a == "__serve-worker") {
         if args.get(1).map(String::as_str) != Some("--tcp") || !(4..=5).contains(&args.len()) {
             usage();
         }
         std::process::exit(worker::worker_tcp_main(
+            &settings,
             &args[2],
             &args[3],
             args.get(4).map(String::as_str),
         ));
     }
-    validate_env();
     match args.first().map(String::as_str) {
         Some("help") | Some("--help") | Some("-h") => {
             print!("{HELP}");
@@ -681,23 +615,18 @@ fn main() {
             if args.len() < 3 {
                 usage();
             }
-            let design = configs::by_name(&args[1]).unwrap_or_else(|| {
-                eprintln!("unknown design {}", args[1]);
-                std::process::exit(EXIT_UNKNOWN_NAME)
-            });
+            let design = design_named(&args[1]);
             let n: usize = args[2].parse().unwrap_or_else(|_| usage());
-            let smt = !args.iter().any(|a| a == "--no-smt");
-            let bus = if args.iter().any(|a| a == "--bus16") {
+            let smt = !has_flag(&args, "--no-smt");
+            let bus = if has_flag(&args, "--bus16") {
                 16.0
             } else {
                 8.0
             };
-            let bench = args
-                .iter()
-                .position(|a| a == "--bench")
-                .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()));
+            let bench = flag_value(&args, "--bench");
 
-            let ctx = make_ctx(cli_mode(&args));
+            let sim_mode = settings.mode(has_flag(&args, "--sampled"));
+            let ctx = make_ctx(&settings, SimScale::quick(), sim_mode);
             match bench {
                 None => {
                     let cell = ctx
@@ -732,22 +661,13 @@ fn main() {
         Some("trace") => {
             let positional: Vec<&String> =
                 args[1..].iter().filter(|a| !a.starts_with("--")).collect();
-            let design = match positional.first() {
-                Some(name) => configs::by_name(name).unwrap_or_else(|| {
-                    eprintln!("unknown design {name}");
-                    std::process::exit(EXIT_UNKNOWN_NAME)
-                }),
-                None => configs::by_name("4B").expect("4B is a known design"),
-            };
+            let design = design_named(positional.first().map_or("4B", |name| name.as_str()));
             let n: usize = match positional.get(1) {
                 Some(v) => v.parse().unwrap_or_else(|_| usage()),
                 None => 8,
             };
-            let smt = !args.iter().any(|a| a == "--no-smt");
-            let cfg = TraceConfig::from_env().unwrap_or_else(|| TraceConfig {
-                path: "tlpsim-trace.json".into(),
-                cap: DEFAULT_RING_CAP,
-            });
+            let smt = !has_flag(&args, "--no-smt");
+            let cfg = &settings.trace;
 
             let scale = SimScale::quick();
             let chip = design.chip(smt, 8.0);
@@ -806,131 +726,40 @@ fn main() {
             );
         }
         Some("sweep") => {
-            if args.len() < 2 || args[1].starts_with("--") {
-                usage();
-            }
-            let design = configs::by_name(&args[1]).unwrap_or_else(|| {
-                eprintln!("unknown design {}", args[1]);
-                std::process::exit(EXIT_UNKNOWN_NAME)
-            });
-            let smt = !args.iter().any(|a| a == "--no-smt");
-            let bus = if args.iter().any(|a| a == "--bus16") {
-                16.0
-            } else {
-                8.0
-            };
-            let jpath = args
-                .iter()
-                .position(|a| a == "--journal")
-                .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                .unwrap_or_else(|| "tlpsim-sweep.journal".into());
-            let spec = tlpsim::core::journal::SweepSpec {
-                design: design.name.clone(),
-                kind: WorkloadKind::Heterogeneous,
-                smt,
-                bus_dgbps: (bus * 10.0) as u32,
-                scale: SimScale::quick(),
-                mode: cli_mode(&args),
-            };
+            let spec = sweep_spec(&args, &settings, SimScale::quick());
+            let jpath =
+                flag_value(&args, "--journal").unwrap_or_else(|| "tlpsim-sweep.journal".into());
             let journal = Journal::create(Path::new(&jpath), spec).unwrap_or_else(|e| {
                 eprintln!("tlpsim: {e}");
                 std::process::exit(EXIT_SIM_FAILED)
             });
-            run_sweep(journal, BTreeMap::new(), Path::new(&jpath));
+            run_sweep(&settings, journal, BTreeMap::new(), Path::new(&jpath));
         }
         Some("serve") => {
-            if args.iter().any(|a| a == "--daemon") {
-                daemon_serve(&args);
+            if has_flag(&args, "--daemon") {
+                daemon_serve(&args, &settings);
             }
-            if args.len() < 2 || args[1].starts_with("--") {
-                usage();
-            }
-            let design = configs::by_name(&args[1]).unwrap_or_else(|| {
-                eprintln!("unknown design {}", args[1]);
-                std::process::exit(EXIT_UNKNOWN_NAME)
-            });
-            let smt = !args.iter().any(|a| a == "--no-smt");
-            let bus = if args.iter().any(|a| a == "--bus16") {
-                16.0
-            } else {
-                8.0
-            };
-            let jpath = args
-                .iter()
-                .position(|a| a == "--journal")
-                .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                .unwrap_or_else(|| "tlpsim-sweep.journal".into());
-            let workers = args
-                .iter()
-                .position(|a| a == "--workers")
-                .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                .map_or(2, |v| {
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&w| w > 0)
-                        .unwrap_or_else(|| {
-                            eprintln!("tlpsim: --workers {v:?} is not a positive count");
-                            std::process::exit(EXIT_USAGE)
-                        })
-                });
-            let pid_file = args
-                .iter()
-                .position(|a| a == "--pid-file")
-                .map(|i| args.get(i + 1).cloned().unwrap_or_else(|| usage()))
-                .map(PathBuf::from);
-            let spec = tlpsim::core::journal::SweepSpec {
-                design: design.name.clone(),
-                kind: WorkloadKind::Heterogeneous,
-                smt,
-                bus_dgbps: (bus * 10.0) as u32,
-                scale: SimScale::quick(),
-                mode: cli_mode(&args),
-            };
+            let spec = sweep_spec(&args, &settings, SimScale::quick());
+            let jpath =
+                flag_value(&args, "--journal").unwrap_or_else(|| "tlpsim-sweep.journal".into());
+            let opts = serve_options(&args, &settings);
             let journal = Journal::create(Path::new(&jpath), spec).unwrap_or_else(|e| {
                 eprintln!("tlpsim: {e}");
                 std::process::exit(EXIT_SIM_FAILED)
             });
-            serve_run(
-                journal,
-                BTreeMap::new(),
-                Path::new(&jpath),
-                workers,
-                pid_file,
-            );
+            serve_run(journal, Path::new(&jpath), opts);
         }
         Some("submit") => {
-            if args.len() < 2 || args[1].starts_with("--") {
-                usage();
-            }
-            let design = configs::by_name(&args[1]).unwrap_or_else(|| {
-                eprintln!("unknown design {}", args[1]);
-                std::process::exit(EXIT_UNKNOWN_NAME)
-            });
-            let smt = !args.iter().any(|a| a == "--no-smt");
-            let bus = if args.iter().any(|a| a == "--bus16") {
-                16.0
-            } else {
-                8.0
-            };
+            let spec = sweep_spec(&args, &settings, settings.serve_scale);
             let addr = flag_value(&args, "--addr").unwrap_or_else(|| usage());
-            let wait = !args.iter().any(|a| a == "--no-wait");
-            let spec = tlpsim::core::journal::SweepSpec {
-                design: design.name.clone(),
-                kind: WorkloadKind::Heterogeneous,
-                smt,
-                bus_dgbps: (bus * 10.0) as u32,
-                scale: serve_scale(),
-                mode: cli_mode(&args),
-            };
+            let wait = !has_flag(&args, "--no-wait");
             let mut copts = ClientOptions::new(&addr, &spec);
             if let Some(t) = flag_value(&args, "--token") {
                 copts.token = t;
             }
             interrupt::install_handlers();
             match client::submit(&spec, &copts, wait) {
-                Ok(cells) if wait => {
-                    print_table(&spec.design, smt, bus, &cells);
-                }
+                Ok(cells) if wait => print_table(&spec, &cells),
                 Ok(cells) => {
                     eprintln!(
                         "tlpsim: job accepted ({} cell(s) already cached); reattach with: \
@@ -993,26 +822,23 @@ fn main() {
                     "tlpsim: journal {jpath}: torn tail truncated at byte {at} (crash mid-append); the lost cell will be re-simulated"
                 );
             }
-            run_sweep(journal, done, Path::new(&jpath));
+            run_sweep(&settings, journal, done, Path::new(&jpath));
         }
         Some("app") => {
             if args.len() < 4 {
                 usage();
             }
-            let design = configs::by_name(&args[1]).unwrap_or_else(|| {
-                eprintln!("unknown design {}", args[1]);
-                std::process::exit(EXIT_UNKNOWN_NAME)
-            });
+            let design = design_named(&args[1]);
             let apps = parsec::all();
             let Some(a) = apps.iter().position(|x| x.name == args[2]) else {
                 eprintln!("unknown app {}", args[2]);
                 std::process::exit(EXIT_UNKNOWN_NAME)
             };
             let n: usize = args[3].parse().unwrap_or_else(|_| usage());
-            let smt = !args.iter().any(|x| x == "--no-smt");
+            let smt = !has_flag(&args, "--no-smt");
             // App runs are always exact: segmented/synchronizing
             // threads refuse extrapolation anyway.
-            let ctx = make_ctx(SimMode::Exact);
+            let ctx = make_ctx(&settings, SimScale::quick(), SimMode::Exact);
             let r = ctx
                 .parsec_run(&design, a, n, smt, 8.0)
                 .unwrap_or_else(|e| sim_failed("app", e));

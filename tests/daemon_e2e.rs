@@ -54,30 +54,15 @@ fn tmp_dir(tag: &str) -> PathBuf {
     d
 }
 
-/// Ambient `TLPSIM_*` variables a developer shell might export; every
-/// spawned process starts from a clean slate so tests are hermetic.
-const AMBIENT: &[&str] = &[
-    "TLPSIM_FAULT",
-    "TLPSIM_CACHE",
-    "TLPSIM_SAMPLE",
-    "TLPSIM_EXACT",
-    "TLPSIM_CKPT_CYCLES",
-    "TLPSIM_WATCHDOG_CYCLES",
-    "TLPSIM_THREADS",
-    "TLPSIM_SERVE_HB_MS",
-    "TLPSIM_SERVE_HB_TIMEOUT_MS",
-    "TLPSIM_SERVE_CELL_TIMEOUT_MS",
-    "TLPSIM_SERVE_RETRY_MS",
-    "TLPSIM_SERVE_ATTEMPTS",
-    "TLPSIM_SERVE_QUEUE_DEPTH",
-    "TLPSIM_SERVE_IO_TIMEOUT_MS",
-    "TLPSIM_SERVE_SCALE",
-];
-
+/// The tlpsim binary under the tiny scale, with `env` set. Every
+/// inherited `TLPSIM_*` variable is removed first, so a knob left in a
+/// developer's shell cannot steer, or fail, a spawned process.
 fn tlpsim_cmd(env: &[(&str, &str)]) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tlpsim"));
-    for v in AMBIENT {
-        cmd.env_remove(v);
+    for (k, _) in std::env::vars_os() {
+        if k.to_string_lossy().starts_with("TLPSIM_") {
+            cmd.env_remove(&k);
+        }
     }
     cmd.env("TLPSIM_SERVE_SCALE", TINY_SCALE_ENV)
         .env("TLPSIM_SERVE_RETRY_MS", "20");

@@ -51,9 +51,8 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 /// Options pointing at the real tlpsim binary's worker entry point.
-/// Built from `Default`, not `from_env`, so ambient `TLPSIM_SERVE_*`
-/// variables cannot skew a test; fault policy defaults to `Clear` for
-/// the same reason (an exported `TLPSIM_FAULT` must not leak in).
+/// The fault policy is `Clear`, so an exported `TLPSIM_FAULT` cannot
+/// leak into the worker hosts.
 fn opts() -> ServeOptions {
     ServeOptions {
         workers: 2,
